@@ -10,7 +10,7 @@ probability algebras.
 """
 
 from .linalg import affine_factor, affinely_independent, gauss_solve
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinprogError, solve_standard
 from .mean import (
     MeanStructure,
     Ultracharge,

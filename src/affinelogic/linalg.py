@@ -1,13 +1,92 @@
-"""Exact linear algebra over Fraction: solving, rank, affine factoring."""
+"""Exact linear algebra: solving, rank, affine factoring.
+
+Rational matrices are eliminated by one kernel over Python ints.  Each row
+is a list of int numerators over one positive int denominator, kept
+primitive (the gcd of the denominator and the numerators is 1), so every
+entry is an exact rational while no Fraction is built inside the loops.
+`linprog` pivots its simplex tableau with the same kernel.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def int_row(values: Sequence) -> tuple[list[int], int]:
+    """Exact rationals as int numerators over their least common denominator."""
+    pairs = [
+        v.as_integer_ratio() if type(v) is Fraction or type(v) is int
+        else Fraction(v).as_integer_ratio()
+        for v in values
+    ]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def reduce_row(
+    row: list[int], den: int, prow: list[int], p: int, col: int
+) -> tuple[list[int], int]:
+    """Clear column col of the rational row row/den with the pivot row prow/p.
+
+    prow[col] == p > 0, so the pivot row's rational entry at col is 1.  The
+    result is p*row - row[col]*prow over den*p, reduced to be primitive.
+    """
+    f = row[col]
+    if not f:
+        return row, den
+    new = [p * v - f * w for v, w in zip(row, prow)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
+def pivot(rows: list[list[int]], dens: list[int], r: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: entry (r, col) becomes 1, the rest of col 0."""
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    g = gcd(*prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+        p //= g
+    rows[r] = prow
+    dens[r] = p
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            rows[i], dens[i] = reduce_row(row, dens[i], prow, p, col)
+
+
+def _row_reduce(rows: list[list[int]], dens: list[int], ncols: int) -> list[tuple[int, int]]:
+    """Reduced row echelon form over the first ncols columns, in place.
+
+    The pivot of each column is the first nonzero entry at or below the
+    current row.  Returns the (row, column) pivots; their count is the rank.
+    """
+    m = len(rows)
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((r for r in range(row, m) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        dens[row], dens[piv] = dens[piv], dens[row]
+        pivot(rows, dens, row, col)
+        pivots.append((row, col))
+    return pivots
 
 
 @dataclass
@@ -29,56 +108,32 @@ def gauss_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
     m = len(rows)
     n = len(rows[0]) if m else 0
     # Augment with the identity to track the row combination applied.
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])]
-         + [ONE if k == i else ZERO for k in range(m)] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = ONE / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return LinearSolution(False, combination=tuple(a[r][n + 1:]))
+    a: list[list[int]] = []
+    dens: list[int] = []
+    for i in range(m):
+        row, den = int_row([*rows[i], rhs[i]])
+        row.extend(den if k == i else 0 for k in range(m))
+        a.append(row)
+        dens.append(den)
+    pivots = _row_reduce(a, dens, n)
+    for r in range(len(pivots), m):
+        if a[r][n]:
+            den = dens[r]
+            return LinearSolution(
+                False, combination=tuple(Fraction(v, den) for v in a[r][n + 1:])
+            )
     x = [ZERO] * n
     for r, c in pivots:
-        x[c] = a[r][n]
+        x[c] = Fraction(a[r][n], dens[r])
     return LinearSolution(True, x=tuple(x), free_count=n - len(pivots))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = len(rows)
-    if m == 0:
+    """The number of pivots, that is columns minus free variables."""
+    if not rows:
         return 0
-    n = len(rows[0])
-    a = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = ONE / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    scaled = [int_row(r) for r in rows]
+    return len(_row_reduce([r for r, _ in scaled], [d for _, d in scaled], len(rows[0])))
 
 
 def affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:

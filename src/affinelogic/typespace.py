@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult, solve_standard
+from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_standard
 from .model import FiniteStructure, eval_table
 from .syntax import Condition, Formula, free_vars
 
@@ -40,6 +40,15 @@ class NotAffineError(TypespaceError):
     def __init__(self, message: str, certificate):
         super().__init__(message)
         self.certificate = certificate
+
+
+def _lp_status(res: SimplexResult, *expected: str) -> str:
+    """The LP's status, checked to be one this caller's LP can reach."""
+    if res.status not in expected:
+        raise TypespaceError(
+            f"LP came back {res.status}, expected {' or '.join(expected)}"
+        )
+    return res.status
 
 
 @dataclass
@@ -261,14 +270,12 @@ def extreme_points(hull: TypeHull) -> ExtremeReport:
         rows.append([ONE] * len(others))
         rhs = list(v) + [ONE]
         res = solve_standard(rows, rhs, [ZERO] * len(others))
-        if res.status == OPTIMAL:
-            assert res.x is not None
+        if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
             weights = {
                 other_idx[j]: w for j, w in enumerate(res.x) if w != 0
             }
             non_extreme.append(NonExtremeVertex(i, weights))
         else:
-            assert res.status == INFEASIBLE and res.farkas is not None
             y = res.farkas
             coeffs = tuple(y[:dim])
             offset = y[dim]
@@ -429,10 +436,9 @@ def face_check_functionals(
     for k in range(nf):
         cost = vertex_scores[k] + [ZERO] * nv + [ZERO] * nf
         res = solve_standard(rows, rhs, cost)
-        if res.status == INFEASIBLE:
+        if _lp_status(res, OPTIMAL, INFEASIBLE) == INFEASIBLE:
             # no hull pair has its midpoint in the cut: vacuously facial
             return FaceReport(True, cut_vertices)
-        assert res.status == OPTIMAL and res.x is not None and res.value is not None
         if res.value < 0:
             alpha = res.x[:nv]
             beta = res.x[nv:2 * nv]
@@ -495,11 +501,9 @@ def affine_satisfiable_tables(
         rows.append(row)
         rhs.append(ZERO)
     res = solve_standard(rows, rhs, [ZERO] * (na + nc))
-    if res.status == OPTIMAL:
-        assert res.x is not None
+    if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
         witness = {a: w for a, w in zip(tuples, res.x[:na]) if w != 0}
         return SatisfiabilityResult(True, witness=witness)
-    assert res.status == INFEASIBLE and res.farkas is not None
     y = res.farkas
     coeffs = tuple(y[1 + i] for i in range(nc))
     margin = max(
@@ -653,5 +657,5 @@ def type_distance(p: TypeVector, q: TypeVector) -> Fraction:
         rows.append(row)
         rhs.append(right[j][1])
     res = solve_standard(rows, rhs, cost)
-    assert res.status == OPTIMAL and res.value is not None
+    _lp_status(res, OPTIMAL)
     return res.value

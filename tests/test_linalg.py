@@ -115,3 +115,67 @@ def test_affine_factor_random_planted(seed):
     assert res.ok
     for p, v in zip(pts, vals):
         assert res.offset + sum(c * x for c, x in zip(res.coeffs, p)) == v
+
+
+def _reference_gauss_solve(rows, rhs):
+    """The Fraction Gauss-Jordan elimination the integer-row kernel replaced."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[F(v) for v in rows[i]] + [F(rhs[i])] + [F(int(k == i)) for k in range(m)]
+         for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if a[r][n] != 0:
+            return False, None, 0, tuple(a[r][n + 1:])
+    x = [F(0)] * n
+    for r, c in pivots:
+        x[c] = a[r][n]
+    return True, tuple(x), n - len(pivots), None
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _systems(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(_entries) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # a combination of two rows; a perturbed right-hand side makes it inconsistent
+        k = draw(st.integers(1, m - 1))
+        s, t = draw(_entries), draw(_entries)
+        rows[k] = [s * u + t * v for u, v in zip(rows[0], rows[k - 1])]
+        rhs[k] = s * rhs[0] + t * rhs[k - 1] + draw(_entries)
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_gauss_solve_matches_fraction_elimination(system):
+    rows, rhs = system
+    sol = gauss_solve(rows, rhs)
+    expected = _reference_gauss_solve(rows, rhs)
+    assert (sol.consistent, sol.x, sol.free_count, sol.combination) == expected
+    homogeneous = _reference_gauss_solve(rows, [F(0)] * len(rows))
+    assert matrix_rank(rows) == len(rows[0]) - homogeneous[2]

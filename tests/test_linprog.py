@@ -2,10 +2,19 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinelogic.linalg import gauss_solve
-from affinelogic.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard
+from affinelogic.linalg import gauss_solve, int_row
+from affinelogic.linprog import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinprogError,
+    _check_farkas,
+    _check_optimal,
+    solve_standard,
+)
 
 
 def test_hand_lp_unique_optimum():
@@ -123,7 +132,169 @@ def test_simplex_against_basic_solution_enumeration(seed):
 
 
 def test_row_length_mismatch():
-    import pytest
-
     with pytest.raises(ValueError):
         solve_standard([[F(1)]], [F(1)], [F(1), F(2)])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the textbook Fraction tableau the integer-row kernel replaced.
+# Same phases and the same Bland rule, one Fraction per entry.
+
+
+class _FractionTableau:
+    def __init__(self, a, b, ncols):
+        self.a = a
+        self.b = b
+        self.m = len(a)
+        self.ncols = ncols
+        self.basis = []
+        self.obj = []
+        self.obj_value = F(0)
+
+    def set_objective(self, cost):
+        self.obj = list(cost)
+        self.obj_value = F(0)
+        for r, bv in enumerate(self.basis):
+            f = cost[bv]
+            if f != 0:
+                self.obj = [o - f * v for o, v in zip(self.obj, self.a[r])]
+                self.obj_value -= f * self.b[r]
+
+    def pivot(self, row, col):
+        inv = 1 / self.a[row][col]
+        self.a[row] = [v * inv for v in self.a[row]]
+        self.b[row] *= inv
+        prow, pb = self.a[row], self.b[row]
+        for r in range(self.m):
+            if r != row:
+                f = self.a[r][col]
+                if f != 0:
+                    self.a[r] = [v - f * w for v, w in zip(self.a[r], prow)]
+                    self.b[r] -= f * pb
+        f = self.obj[col]
+        if f != 0:
+            self.obj = [v - f * w for v, w in zip(self.obj, prow)]
+            self.obj_value -= f * pb
+        self.basis[row] = col
+
+    def run(self, allowed):
+        while True:
+            enter = next((j for j in range(allowed) if self.obj[j] < 0), None)
+            if enter is None:
+                return OPTIMAL
+            best_row, best_ratio = -1, None
+            for r in range(self.m):
+                coef = self.a[r][enter]
+                if coef > 0:
+                    ratio = self.b[r] / coef
+                    if best_ratio is None or ratio < best_ratio or (
+                        ratio == best_ratio and self.basis[r] < self.basis[best_row]
+                    ):
+                        best_ratio, best_row = ratio, r
+            if best_row < 0:
+                return UNBOUNDED
+            self.pivot(best_row, enter)
+
+
+def _reference_solve(a_rows, b, cost):
+    m, n = len(a_rows), len(cost)
+    signs = [1] * m
+    a, rhs = [], []
+    for i in range(m):
+        row, bi = [F(v) for v in a_rows[i]], F(b[i])
+        if bi < 0:
+            row, bi, signs[i] = [-v for v in row], -bi, -1
+        a.append(row + [F(int(k == i)) for k in range(m)])
+        rhs.append(bi)
+    t = _FractionTableau(a, rhs, n + m)
+    t.basis = [n + i for i in range(m)]
+    t.set_objective([F(0)] * n + [F(1)] * m)
+    assert t.run(n + m) == OPTIMAL
+    if -t.obj_value > 0:
+        farkas = tuple(signs[i] * (1 - t.obj[n + i]) for i in range(m))
+        return INFEASIBLE, None, None, farkas
+    keep = []
+    for r in range(t.m):
+        if t.basis[r] >= n:
+            col = next((j for j in range(n) if t.a[r][j] != 0), None)
+            if col is None:
+                continue
+            t.pivot(r, col)
+        keep.append(r)
+    t.a = [t.a[r] for r in keep]
+    t.b = [t.b[r] for r in keep]
+    t.basis = [t.basis[r] for r in keep]
+    t.m = len(keep)
+    t.set_objective([F(c) for c in cost] + [F(0)] * m)
+    if t.run(n) == UNBOUNDED:
+        return UNBOUNDED, None, None, None
+    x = [F(0)] * n
+    for r, bv in enumerate(t.basis):
+        if bv < n:
+            x[bv] = t.b[r]
+    return OPTIMAL, tuple(x), sum((c * v for c, v in zip(cost, x)), start=F(0)), None
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _lp_instances(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    b = [draw(_entries) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # redundant row: a scaled copy of row 0, right-hand side included
+        k = draw(st.integers(1, m - 1))
+        s = draw(_entries.filter(bool))
+        rows[k] = [s * v for v in rows[0]]
+        b[k] = s * b[0]
+    if n > 1 and draw(st.booleans()):
+        # degenerate ties: a repeated column and a zero right-hand side
+        j = draw(st.integers(1, n - 1))
+        for row in rows:
+            row[j] = row[0]
+        b[draw(st.integers(0, m - 1))] = F(0)
+    cost = [draw(_entries) for _ in range(n)]
+    if draw(st.booleans()):
+        # a free ray: a zero column with negative cost is unbounded once feasible
+        for row in rows:
+            row.append(F(0))
+        cost.append(F(-1))
+    return rows, b, cost
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lp_instances())
+def test_simplex_matches_fraction_tableau(lp):
+    rows, b, cost = lp
+    res = solve_standard(rows, b, cost)
+    assert (res.status, res.x, res.value, res.farkas) == _reference_solve(rows, b, cost)
+
+
+def test_certificate_checks_reject_wrong_outcomes():
+    # x + y = 1 and x + y = 2: y = (-1, 1) certifies infeasibility
+    inputs, dens = [], []
+    for row in ([F(1), F(1), F(1)], [F(1, 2), F(1, 2), F(1)]):
+        ints, den = int_row(row)
+        inputs.append(ints)
+        dens.append(den)
+    _check_farkas(inputs, dens, (F(-1), F(2)), 2)
+    with pytest.raises(LinprogError):
+        _check_farkas(inputs, dens, (F(1), F(-2)), 2)
+    with pytest.raises(LinprogError):
+        _check_farkas(inputs, dens, (F(-1), F(1)), 2)  # y.b = 0 is no proof
+
+    inputs, _ = int_row([F(1), F(2), F(4)])  # x + 2y = 4
+    cost, cost_den = int_row([F(1, 2), F(1, 2)])
+    _check_optimal([inputs], cost, cost_den, (F(0), F(2)), F(1))
+    with pytest.raises(LinprogError):
+        _check_optimal([inputs], cost, cost_den, (F(1), F(2)), F(3, 2))  # infeasible point
+    with pytest.raises(LinprogError):
+        _check_optimal([inputs], cost, cost_den, (F(6), F(-1)), F(5, 2))  # negative coordinate
+    with pytest.raises(LinprogError):
+        _check_optimal([inputs], cost, cost_den, (F(0), F(2)), F(2))  # wrong value

@@ -355,3 +355,24 @@ def test_type_distance_triangle_and_symmetry_random():
             assert dab >= 0
             for c in mixes:
                 assert type_distance(a, c) <= dab + type_distance(b, c)
+
+
+def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
+    # These raise by explicit check, so they hold under python -O as well.
+    from affinelogic import typespace
+    from affinelogic.linprog import UNBOUNDED, SimplexResult
+
+    M = fo_structure([(0,), (1,)])
+    family = FormulaFamily(("x",), (parse_formula("R0(x)", M.signature()),))
+    p = realized_type(M, (0,), family)
+    q = realized_type(M, (1,), family)
+    hull = type_hull(M, 1, family)
+    monkeypatch.setattr(typespace, "solve_standard", lambda *args: SimplexResult(UNBOUNDED))
+    with pytest.raises(TypespaceError, match="unbounded"):
+        extreme_points(hull)
+    with pytest.raises(TypespaceError, match="unbounded"):
+        typespace.face_check_functionals(hull, [(ZERO, (ONE,))])
+    with pytest.raises(TypespaceError, match="unbounded"):
+        typespace.affine_satisfiable_tables([(0,)], [])
+    with pytest.raises(TypespaceError, match="unbounded"):
+        type_distance(p, q)
