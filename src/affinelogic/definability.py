@@ -3,7 +3,7 @@
 A predicate table is definable over a formula family exactly when it factors
 affinely through the family's evaluation vectors; a tuple set is definable
 when its distance predicate does.  The finite setting makes every check an
-exact computation: linear solves, small LPs, exhaustive minima.
+exact computation: linear solves, closed forms, exhaustive minima.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .model import FiniteStructure, automorphisms, eval_table
-from .typespace import (
-    FormulaFamily,
-    TypeVector,
-    affine_satisfiable_tables,
-    factor_table_through_family,
-)
+from .model import FiniteStructure, automorphisms, eval_table, neighbour_pairs
+from .typespace import FormulaFamily, TypeVector, factor_table_through_family
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,6 +60,8 @@ def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
             raise DefinabilityError(f"output arity mismatch at {args}")
         if any(not 0 <= x < M.size for x in out):
             raise DefinabilityError(f"output out of range at {args}")
+    # All pairs: M is not validated here, and reducing to neighbour pairs
+    # for tuple-valued outputs needs the triangle inequality of its metric.
     for a in expected:
         for b in expected:
             if M.tuple_distance(f.table[a], f.table[b]) > f.lam * M.tuple_distance(a, b):
@@ -134,7 +131,8 @@ class DistanceAxiomReport:
 
     Approachability asks, for every point a, whether a distribution over
     tuples can have zero mean P while staying within P(a) of a in the mean;
-    failures carry the Farkas coefficients of the per-point condition pair.
+    failures carry (a, (r0, r1)), the Farkas pair of the per-point condition
+    pair normalised to r0 + r1 = 1.
     """
 
     nonnegative: AxiomCheck
@@ -150,6 +148,14 @@ class DistanceAxiomReport:
 
 
 def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxiomReport:
+    """Nonnegativity, nonexpansiveness and approachability of P, exactly.
+
+    M is assumed to be a valid structure (see `validate_structure`).
+    Nonexpansiveness is checked on neighbour pairs only, which is exact in
+    the sum metric (see `neighbour_pairs`); its witness (a, b) has
+    P(a) - P(b) > d(a, b).  Approachability at a is decided in closed form
+    by `_approach_refutation`, with no LP.
+    """
     validate_predicate(M, P)
     tuples = _tuples(M, P.arity)
 
@@ -160,26 +166,56 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
             break
 
     nonexp = AxiomCheck(True)
-    for a in tuples:
-        for b in tuples:
-            if P.values[a] - P.values[b] > M.tuple_distance(a, b):
-                nonexp = AxiomCheck(False, (a, b))
-                break
-        if not nonexp.ok:
+    for a, b, x, y in neighbour_pairs(M.size, P.arity):
+        diff = P.values[a] - P.values[b]
+        if abs(diff) > M.metric[x][y]:
+            nonexp = AxiomCheck(False, (a, b) if diff > 0 else (b, a))
             break
 
     approach = AxiomCheck(True)
     for a in tuples:
-        gaps = [
-            {y: -P.values[y] for y in tuples},
-            {y: P.values[a] - M.tuple_distance(a, y) for y in tuples},
-        ]
-        res = affine_satisfiable_tables(tuples, gaps)
-        if not res.satisfiable:
-            approach = AxiomCheck(False, (a, res.farkas))
+        farkas = _approach_refutation(M, P, a, tuples)
+        if farkas is not None:
+            approach = AxiomCheck(False, (a, farkas))
             break
 
     return DistanceAxiomReport(nonneg, nonexp, approach)
+
+
+def _approach_refutation(
+    M: FiniteStructure, P: PredicateTable, a: tuple[int, ...],
+    tuples: Sequence[tuple[int, ...]],
+) -> tuple[Fraction, Fraction] | None:
+    """Farkas pair (1 - s, s) refuting approachability at a, or None.
+
+    With f(y) = -P(y) and g(y) = P(a) - d(a, y), some distribution has
+    mean f >= 0 and mean g >= 0 unless, by Ville's alternative, some
+    s in [0, 1] has (1 - s) f(y) + s g(y) < 0 for every y.  Writing
+    h = g - f, each y asks s * h(y) < -f(y): an open half-line for s when
+    h(y) != 0, and f(y) < 0 when h(y) = 0.  Those s form the interval
+    (lo, hi) cut from [0, 1]; it is nonempty iff lo < hi, and its midpoint
+    is re-checked exactly before it is returned.
+    """
+    pa = P.values[a]
+    gaps = []
+    lo, hi = ZERO, ONE
+    for y in tuples:
+        f = -P.values[y]
+        g = pa - M.tuple_distance(a, y)
+        h = g - f
+        if h > 0:
+            hi = min(hi, -f / h)
+        elif h < 0:
+            lo = max(lo, -f / h)
+        elif f >= 0:
+            return None
+        if lo >= hi:
+            return None
+        gaps.append((f, g))
+    s = (lo + hi) / 2
+    if max((1 - s) * f + s * g for f, g in gaps) >= 0:
+        raise DefinabilityError(f"approachability refutation at {a} does not refute")
+    return 1 - s, s
 
 
 def zeroset_recover(M: FiniteStructure, P: PredicateTable) -> frozenset[tuple[int, ...]]:
@@ -240,7 +276,8 @@ def lambda_domination(
             if need > lam:
                 lam = need
     for a in P.values:
-        assert Q.values[a] <= lam * P.values[a] + eps
+        if Q.values[a] > lam * P.values[a] + eps:
+            raise DefinabilityError(f"domination bound {lam} fails at {a}")
     return DominationResult(True, lam=lam)
 
 
@@ -282,7 +319,8 @@ def is_definable_predicate(
         raise DefinabilityError("predicate arity must match the family")
     res = factor_table_through_family(M, P.values, family)
     if res.ok:
-        assert res.offset is not None and res.coeffs is not None
+        if res.offset is None or res.coeffs is None:
+            raise DefinabilityError("affine factorisation reported no coefficients")
         return DefinabilityReport(
             True, witness=AffineWitness(res.offset, res.coeffs, family)
         )
@@ -334,8 +372,9 @@ def inf_over_definable(
 ) -> ProjectionReport:
     """Project P by an exact minimum over D in its trailing coordinates.
 
-    P must be lam-Lipschitz in the trailing block (validated exhaustively);
-    that is what makes the penalty form with lam * distance-to-D agree with
+    P must be lam-Lipschitz in the trailing block (validated on neighbour
+    pairs of the block, which is exact, see `neighbour_pairs`); that is what
+    makes the penalty form with lam * distance-to-D agree with
     the direct minimum.
     """
     lam = Fraction(lam)
@@ -350,13 +389,13 @@ def inf_over_definable(
         raise DefinabilityError("P arity must be at least the set arity")
     xs = _tuples(M, m)
     ys = _tuples(M, n)
+    pairs = list(neighbour_pairs(M.size, n))
     for x in xs:
-        for y1 in ys:
-            for y2 in ys:
-                if abs(P.values[x + y1] - P.values[x + y2]) > lam * M.tuple_distance(y1, y2):
-                    raise DefinabilityError(
-                        f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
-                    )
+        for y1, y2, u, v in pairs:
+            if abs(P.values[x + y1] - P.values[x + y2]) > lam * M.metric[u][v]:
+                raise DefinabilityError(
+                    f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
+                )
     dist = distance_predicate(M, tuples_D, n)
     q = {x: min(P.values[x + b] for b in tuples_D) for x in xs}
     identity = all(

@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affinelogic import definability
 from affinelogic.definability import (
     DefinabilityError,
     FunctionTable,
@@ -24,8 +27,9 @@ from affinelogic.definability import (
 )
 from affinelogic.model import FiniteStructure, RelationInterp
 from affinelogic.pra import build_algebra
+from affinelogic.sampling import random_metric
 from affinelogic.syntax import parse_formula
-from affinelogic.typespace import FormulaFamily
+from affinelogic.typespace import FormulaFamily, affine_satisfiable_tables
 
 ZERO = F(0)
 ONE = F(1)
@@ -108,6 +112,104 @@ def test_zeroset_recover_refuses_non_distance(A2):
         zeroset_recover(A2, shifted)
 
 
+# Reference for the neighbour scan and the closed-form approachability test:
+# the all-pairs nonexpansive loop and the per-point LP that
+# check_distance_axioms ran before.  Returns (nonexpansive ok, first point
+# where approachability fails or None).
+def _reference_axioms(M, P):
+    tuples = list(itertools.product(range(M.size), repeat=P.arity))
+    values = P.values
+    nonexp = not any(
+        values[a] - values[b] > M.tuple_distance(a, b) for a in tuples for b in tuples
+    )
+    for a in tuples:
+        gaps = [
+            {y: -values[y] for y in tuples},
+            {y: values[a] - M.tuple_distance(a, y) for y in tuples},
+        ]
+        if not affine_satisfiable_tables(tuples, gaps).satisfiable:
+            return nonexp, a
+    return nonexp, None
+
+
+def _metric_space(draw):
+    m = draw(st.integers(2, 4))
+    metric = random_metric(draw(st.randoms(use_true_random=False)), m)
+    return FiniteStructure(tuple(f"e{i}" for i in range(m)), metric, {}, {}, {})
+
+
+_SIGNED = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _axiom_cases(draw):
+    """Distance predicates, shifted up or down, with entries overwritten by
+    signed values or by ties g(y) = f(y) at some point a."""
+    M = _metric_space(draw)
+    tuples = list(itertools.product(range(M.size), repeat=draw(st.integers(1, 2))))
+    D = draw(st.sets(st.sampled_from(tuples), min_size=1))
+    shift = draw(st.sampled_from([F(-1, 4), F(-1, 10), ZERO, ZERO, F(1, 10), F(1, 4)]))
+    values = {a: v + shift for a, v in distance_predicate(M, D).values.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        y = draw(st.sampled_from(tuples))
+        if draw(st.booleans()):
+            values[y] = draw(_SIGNED)
+        else:  # P(a) - d(a, y) = -P(y): a tie, negative when d(a, y) < P(a)
+            a = draw(st.sampled_from(tuples))
+            values[y] = M.tuple_distance(a, y) - values[a]
+    return M, PredicateTable(len(tuples[0]), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_axiom_cases())
+def test_distance_axioms_match_reference(case):
+    M, P = case
+    nonexp, failing = _reference_axioms(M, P)
+    rep = check_distance_axioms(M, P)
+    assert rep.nonnegative.ok == (min(P.values.values()) >= 0)
+    assert rep.nonexpansive.ok == nonexp
+    if not nonexp:
+        a, b = rep.nonexpansive.witness
+        assert P.values[a] - P.values[b] > M.tuple_distance(a, b)
+    assert rep.approachable.ok == (failing is None)
+    if failing is not None:
+        a, (r0, r1) = rep.approachable.witness
+        assert a == failing
+        assert r0 >= 0 and r1 >= 0 and r0 + r1 == 1
+        assert max(
+            r0 * -P.values[y] + r1 * (P.values[a] - M.tuple_distance(a, y))
+            for y in P.values
+        ) < 0
+
+
+@st.composite
+def _trailing_cases(draw):
+    M = _metric_space(draw)
+    head = draw(st.integers(0, 1))
+    tuples = itertools.product(range(M.size), repeat=head + 2)
+    P = PredicateTable(head + 2, {a: draw(_SIGNED) / 6 for a in tuples})
+    return M, P, draw(st.sampled_from([ZERO, F(1, 2), ONE, F(2), F(4)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trailing_cases())
+def test_inf_over_definable_lipschitz_matches_all_pairs(case):
+    M, P, lam = case
+    head = P.arity - 2
+    ys = list(itertools.product(range(M.size), repeat=2))
+    lipschitz = all(
+        abs(P.values[x + y1] - P.values[x + y2]) <= lam * M.tuple_distance(y1, y2)
+        for x in itertools.product(range(M.size), repeat=head)
+        for y1 in ys
+        for y2 in ys
+    )
+    if lipschitz:
+        assert inf_over_definable(M, {(0, 0)}, P, lam).identity_holds
+    else:
+        with pytest.raises(DefinabilityError, match="Lipschitz"):
+            inf_over_definable(M, {(0, 0)}, P, lam)
+
+
 # ---------------------------------------------------------------------------
 # domination
 
@@ -173,6 +275,20 @@ def test_definable_predicate_residue_when_not_affine(A2):
     rep = is_definable_predicate(A2, P, mu_family(A2))
     assert not rep.definable
     assert rep.residue is not None
+
+
+def test_definable_predicate_rejects_factorisation_without_coefficients(A2, monkeypatch):
+    P = predicate_from_formula(A2, parse_formula("mu(x)", A2.signature()), ("x",))
+    real = definability.factor_table_through_family
+
+    def no_coeffs(*args):
+        res = real(*args)
+        res.coeffs = None
+        return res
+
+    monkeypatch.setattr(definability, "factor_table_through_family", no_coeffs)
+    with pytest.raises(DefinabilityError):
+        is_definable_predicate(A2, P, mu_family(A2))
 
 
 def test_definable_set(A2):

@@ -14,10 +14,11 @@ from affinelogic.model import (
     eval_condition,
     eval_formula,
     eval_table,
+    neighbour_pairs,
     validate_structure,
 )
 from affinelogic.pra import build_algebra
-from affinelogic.sampling import random_formula, random_structure
+from affinelogic.sampling import random_formula, random_metric, random_structure
 from affinelogic.syntax import parse_condition, parse_formula, free_vars
 
 ZERO = F(0)
@@ -134,6 +135,123 @@ def test_constants_out_of_range_is_shape_error():
         relations={},
     )
     assert validate_structure(M).kind == "shape"
+
+
+def test_validate_rejects_non_neighbour_first_violation():
+    # lam = 1/2: the first violating pair in lexicographic order is the
+    # diagonal ((0, 0), (1, 1)), which differs in both coordinates; the
+    # neighbour scan must still reject, with a neighbour pair as witness.
+    half, quarter = F(1, 2), F(1, 4)
+    M = FiniteStructure(
+        elements=("a", "b"),
+        metric=((ZERO, half), (half, ZERO)),
+        constants={},
+        functions={},
+        relations={"R": RelationInterp(2, half, {
+            (0, 0): ZERO, (0, 1): quarter, (1, 0): quarter, (1, 1): F(3, 4),
+        })},
+    )
+    assert _all_pairs_lipschitz(M) == (False, "relation Lipschitz", ((0, 0), (1, 1)))
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "relation Lipschitz")
+    a, b = rep.witness
+    assert sum(x != y for x, y in zip(a, b)) == 1
+    table = M.relations["R"].table
+    assert abs(table[a] - table[b]) > half * M.tuple_distance(a, b)
+
+
+def test_neighbour_pairs_count_and_shape():
+    for m, k in ((1, 2), (3, 0), (3, 1), (3, 2), (2, 3)):
+        pairs = list(neighbour_pairs(m, k))
+        expected = k * m ** (k - 1) * m * (m - 1) // 2 if k else 0
+        assert len(pairs) == expected
+        assert len({(a, b) for a, b, _, _ in pairs}) == len(pairs)
+        for a, b, x, y in pairs:
+            diff = [i for i in range(k) if a[i] != b[i]]
+            assert len(diff) == 1 and (a[diff[0]], b[diff[0]]) == (x, y) and x < y
+
+
+# Reference for the neighbour-pair Lipschitz scans: the all-pairs loops that
+# validate_structure ran before.  The shape and metric checks that precede
+# them are shared code, so their verdicts are taken from validate_structure.
+def _all_pairs_lipschitz(M):
+    rep = validate_structure(M)
+    if rep.kind not in (None, "function Lipschitz", "relation Lipschitz"):
+        return rep.ok, rep.kind, rep.witness
+    m = M.size
+    for fn in M.functions.values():
+        tuples = list(itertools.product(range(m), repeat=fn.arity))
+        for a in tuples:
+            for b in tuples:
+                if M.metric[fn.table[a]][fn.table[b]] > fn.lam * M.tuple_distance(a, b):
+                    return False, "function Lipschitz", (a, b)
+    for rel in M.relations.values():
+        tuples = list(itertools.product(range(m), repeat=rel.arity))
+        for a in tuples:
+            for b in tuples:
+                if abs(rel.table[a] - rel.table[b]) > rel.lam * M.tuple_distance(a, b):
+                    return False, "relation Lipschitz", (a, b)
+    return True, None, None
+
+
+_LAMS = [ZERO, F(1, 4), F(1, 2), ONE, F(2)]
+_UNIT = st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 6), st.integers(1, 6))
+
+
+@st.composite
+def _perturbed_structures(draw):
+    """Valid metric; one relation and one function of arity 1-2, each either
+    Lipschitz for its declared constant or perturbed away from it."""
+    m = draw(st.integers(2, 4))
+    metric = random_metric(draw(st.randoms(use_true_random=False)), m)
+
+    def dist(a, b):
+        return sum((metric[x][y] for x, y in zip(a, b)), start=ZERO)
+
+    relations, functions = {}, {}
+    if draw(st.booleans()):
+        tuples = list(itertools.product(range(m), repeat=draw(st.integers(1, 2))))
+        lam = draw(st.sampled_from(_LAMS))
+        values = {a: draw(_UNIT) for a in tuples}
+        if draw(st.booleans()):  # inf-convolution: lam-Lipschitz, still in [0, 1]
+            values = {a: min(values[b] + lam * dist(a, b) for b in tuples) for a in tuples}
+        if draw(st.booleans()):
+            values[draw(st.sampled_from(tuples))] = draw(_UNIT)
+        if draw(st.booleans()):
+            lam = draw(st.sampled_from(_LAMS))
+        relations["R"] = RelationInterp(len(tuples[0]), lam, values)
+    if draw(st.booleans()):
+        tuples = list(itertools.product(range(m), repeat=draw(st.integers(1, 2))))
+        table = {a: draw(st.integers(0, m - 1)) for a in tuples}
+        tight = max(
+            (metric[table[a]][table[b]] / dist(a, b) for a in tuples for b in tuples if a != b),
+            default=ZERO,
+        )
+        lam = tight * draw(st.sampled_from([ONE, ONE, F(3, 4), F(1, 2)]))
+        functions["f"] = FunctionInterp(len(tuples[0]), lam, table)
+    return FiniteStructure(
+        elements=tuple(f"e{i}" for i in range(m)),
+        metric=metric,
+        constants={},
+        functions=functions,
+        relations=relations,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_structures())
+def test_validate_matches_all_pairs_reference(M):
+    ok, kind, _ = _all_pairs_lipschitz(M)
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (ok, kind)
+    if kind == "function Lipschitz":
+        fn = M.functions["f"]
+        a, b = rep.witness
+        assert M.metric[fn.table[a]][fn.table[b]] > fn.lam * M.tuple_distance(a, b)
+    if kind == "relation Lipschitz":
+        rel = M.relations["R"]
+        a, b = rep.witness
+        assert abs(rel.table[a] - rel.table[b]) > rel.lam * M.tuple_distance(a, b)
 
 
 # ---------------------------------------------------------------------------
