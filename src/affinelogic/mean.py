@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linalg import int_row
 from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula
 from .syntax import Formula, free_vars
 
@@ -110,17 +111,30 @@ def build_ultramean(
             index[key] = len(reps)
             reps.append(raw)
 
-    def mean_distance(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        return sum(
-            (mu.weights[i] * structures[i].metric[a[i]][b[i]] for i in support),
-            start=ZERO,
-        )
+    # Every stored value is sum_i mu_i * v_i over the support, accumulated as
+    # an int numerator over wden * lcm(denominators of the v_i) and turned
+    # into one Fraction per entry.
+    w, wden = int_row([mu.weights[i] for i in support])
+    weight = dict(zip(support, w))
 
+    def scaled(tables) -> tuple[int, list[dict]]:
+        nums, den = int_row([v for t in tables for v in t.values()])
+        it = iter(nums)
+        return den, [{k: next(it) for k in t} for t in tables]
+
+    dden, dist = scaled([
+        {(x, y): d for x, row in enumerate(structures[i].metric) for y, d in enumerate(row)}
+        for i in support
+    ])
     size = len(reps)
     metric = [[ZERO] * size for _ in range(size)]
     for p in range(size):
+        a = reps[p]
         for q in range(p + 1, size):
-            dpq = mean_distance(reps[p], reps[q])
+            b = reps[q]
+            dpq = Fraction(
+                sum(weight[i] * t[a[i], b[i]] for i, t in zip(support, dist)), wden * dden
+            )
             metric[p][q] = dpq
             metric[q][p] = dpq
 
@@ -150,15 +164,15 @@ def build_ultramean(
 
     relations: dict[str, RelationInterp] = {}
     for name, info in sigs[0].relations.items():
+        rden, tables = scaled([structures[i].relations[name].table for i in support])
         table_r: dict[tuple[int, ...], Fraction] = {}
         for args in itertools.product(range(size), repeat=info.arity):
-            table_r[args] = sum(
-                (
-                    mu.weights[i]
-                    * structures[i].relations[name].table[tuple(reps[a][i] for a in args)]
-                    for i in support
+            table_r[args] = Fraction(
+                sum(
+                    weight[i] * t[tuple(reps[a][i] for a in args)]
+                    for i, t in zip(support, tables)
                 ),
-                start=ZERO,
+                wden * rden,
             )
         relations[name] = RelationInterp(info.arity, info.lam, table_r)
 

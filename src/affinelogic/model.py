@@ -3,15 +3,25 @@
 A structure is a finite point set with a [0,1]-valued metric, plus
 interpretations for the signature's constants, Lipschitz functions, and
 [0,1]-valued Lipschitz relations.  Tuples are measured in the sum metric.
+
+Formulas are evaluated by one kernel: every subformula becomes a flat
+row-major table of int numerators over one positive denominator, ranging
+over its own free variables, each with a domain.  eval_table gives every
+variable the whole domain; eval_formula pins each assigned variable to a
+one-element domain, so a point query is a one-cell table.  Validation
+compares int numerators too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .linalg import int_row
 from .syntax import (
     METRIC,
     Apply,
@@ -159,6 +169,10 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
     triangle inequality on outputs, which is checked first.  A Lipschitz
     witness is therefore a violating neighbour pair, not necessarily the
     first violating pair in lexicographic order.
+
+    All comparisons are on int numerators (the metric over its common
+    denominator, each relation over its own), with the same witnesses as
+    the Fraction comparisons they stand for.
     """
     m = M.size
     if m == 0:
@@ -186,44 +200,57 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
         if rel.lam < 0:
             return _fail("shape", f"relation {name!r} has negative Lipschitz constant")
 
+    # The axioms and Lipschitz scans compare int numerators: the metric's
+    # over its common denominator D, each relation's over its own.
+    flat, D = int_row([x for row in M.metric for x in row])
+    d = [flat[i:i + m] for i in range(0, m * m, m)]
     for i in range(m):
         for j in range(m):
-            dij = M.metric[i][j]
-            if dij < 0 or dij > 1:
+            dij = d[i][j]
+            if dij < 0 or dij > D:
                 return _fail("metric range", "distances must lie in [0, 1]", (i, j))
-            if M.metric[j][i] != dij:
+            if d[j][i] != dij:
                 return _fail("symmetry", "metric must be symmetric", (i, j))
-        if M.metric[i][i] != 0:
+        if d[i][i] != 0:
             return _fail("reflexivity", "d(a, a) must be 0", (i,))
     for i in range(m):
         for j in range(m):
-            if i != j and M.metric[i][j] == 0:
+            if i != j and d[i][j] == 0:
                 return _fail(
                     "identity of indiscernibles",
                     "distinct elements at distance 0", (i, j),
                 )
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if M.metric[i][k] > M.metric[i][j] + M.metric[j][k]:
-                    return _fail("triangle inequality", "d(a,c) > d(a,b) + d(b,c)", (i, j, k))
+    for i, di in enumerate(d):
+        for j, dj in enumerate(d):
+            # some k has d(i, k) - d(j, k) > d(i, j): report the first one
+            if max(map(sub, di, dj)) > di[j]:
+                k = next(k for k in range(m) if di[k] > di[j] + dj[k])
+                return _fail("triangle inequality", "d(a,c) > d(a,b) + d(b,c)", (i, j, k))
 
+    scaled = {}
     for name, rel in M.relations.items():
-        for args, v in rel.table.items():
-            if v < 0 or v > 1:
+        nums, R = int_row(list(rel.table.values()))
+        table = dict(zip(rel.table, nums))
+        for args, v in table.items():
+            if v < 0 or v > R:
                 return _fail("relation range", f"relation {name!r} leaves [0, 1]", args)
+        scaled[name] = R, table
     # Exact by the triangle inequality checked above: the outputs along a
     # coordinate path are at most the sum of their step distances apart.
     for name, fn in M.functions.items():
+        p, q, t = fn.lam.numerator, fn.lam.denominator, fn.table
         for a, b, x, y in neighbour_pairs(m, fn.arity):
-            if M.metric[fn.table[a]][fn.table[b]] > fn.lam * M.metric[x][y]:
+            if q * d[t[a]][t[b]] > p * d[x][y]:
                 return _fail(
                     "function Lipschitz",
                     f"function {name!r} violates its declared constant", (a, b),
                 )
     for name, rel in M.relations.items():
+        R, t = scaled[name]
+        # |t(a) - t(b)| / R > lam * d(x, y) / D, cross-multiplied
+        lhs, rhs = rel.lam.denominator * D, rel.lam.numerator * R
         for a, b, x, y in neighbour_pairs(m, rel.arity):
-            if abs(rel.table[a] - rel.table[b]) > rel.lam * M.metric[x][y]:
+            if lhs * abs(t[a] - t[b]) > rhs * d[x][y]:
                 return _fail(
                     "relation Lipschitz",
                     f"relation {name!r} violates its declared constant", (a, b),
@@ -235,150 +262,144 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
 # evaluation
 
 
-def _eval_term(M: FiniteStructure, t: Term, asg: Mapping[str, int]) -> int:
+# A table is (vs, nums, den): the value at the i-th assignment of the sorted
+# free variables vs is nums[i] / den, den > 0, cells in row-major order over
+# each variable's domain in `dom`.  A domain is range(m), or one element for
+# a variable that eval_formula pins; a bound variable always ranges over
+# range(m), so shadowing needs no special case.
+_Table = tuple[tuple[str, ...], list[int], int]
+
+
+def _spread(vs: tuple[str, ...], cells: list, to: tuple[str, ...], dom) -> list:
+    """Cells over vs, repeated along each axis of the superset `to` that vs
+    lacks; axes are inserted from the innermost out."""
+    inner = 1
+    for v in reversed(to):
+        n = len(dom[v])
+        if n > 1 and v not in vs:
+            if inner == 1:
+                cells = [c for c in cells for _ in range(n)]
+            elif inner == len(cells):
+                cells = cells * n
+            else:
+                cells = [c for b in range(0, len(cells), inner) for c in cells[b:b + inner] * n]
+        inner *= n
+    return cells
+
+
+def _join(parts, dom) -> tuple[tuple[str, ...], list[list]]:
+    """Spread (vs, cells) parts to the union of their variables."""
+    vs = tuple(sorted(set().union(*[p[0] for p in parts])))
+    return vs, [_spread(pvs, cells, vs, dom) for pvs, cells in parts]
+
+
+def _term(M: FiniteStructure, t: Term, dom) -> tuple[tuple[str, ...], list[int]]:
+    """Element index of t at every assignment of its variables."""
     if isinstance(t, Var):
-        try:
-            return asg[t.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {t.name!r}") from None
+        if t.name not in dom:
+            raise EvalError(f"unbound variable {t.name!r}")
+        return (t.name,), list(dom[t.name])
     if isinstance(t, Const):
-        try:
-            return M.constants[t.name]
-        except KeyError:
-            raise EvalError(f"constant {t.name!r} not interpreted") from None
+        if t.name not in M.constants:
+            raise EvalError(f"constant {t.name!r} not interpreted")
+        return (), [M.constants[t.name]]
     fn = M.functions.get(t.name)
     if fn is None:
         raise EvalError(f"function {t.name!r} not interpreted")
-    args = tuple(_eval_term(M, a, asg) for a in t.args)
-    return fn.table[args]
+    vs, cols = _join([_term(M, a, dom) for a in t.args], dom)
+    return vs, [fn.table[args] for args in zip(*cols)]
+
+
+def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _Table:
+    """Tabulate phi.  A chain of Sum/Scale nodes is unrolled into one affine
+    combination of its other subformulas, over the lcm of their denominators."""
+    leaves: list[tuple[Fraction, _Table]] = []
+    stack = [(ONE, phi)]
+    while stack:
+        c, node = stack.pop()
+        if isinstance(node, Sum):
+            stack += ((c, node.right), (c, node.left))
+        elif isinstance(node, Scale):
+            stack.append((c * node.coeff, node.body))
+        else:
+            leaves.append((c, _leaf(M, node, dom)))
+    if len(leaves) == 1 and leaves[0][0] == 1:
+        return leaves[0][1]
+    vs = tuple(sorted(set().union(*[t[0] for _, t in leaves])))
+    den = math.lcm(*{c.denominator * t[2] for c, t in leaves})
+    out: list[int] = []
+    for c, (lvs, nums, d) in leaves:
+        f = c.numerator * (den // (c.denominator * d))
+        col = _spread(lvs, nums if f == 1 else [f * x for x in nums], vs, dom)
+        out = list(map(add, out, col)) if out else col
+    g = math.gcd(den, *out)
+    return vs, [x // g for x in out] if g > 1 else out, den // g
+
+
+def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _Table:
+    """Tabulate a One, Apply, Inf or Sup node."""
+    if isinstance(node, One):
+        return (), [1], 1
+    if isinstance(node, Apply):
+        vs, cols = _join([_term(M, t, dom) for t in node.args], dom)
+        if node.symbol == METRIC:
+            vals = [M.metric[a][b] for a, b in zip(*cols)]
+        elif node.symbol in M.relations:
+            table = M.relations[node.symbol].table
+            vals = [table[args] for args in zip(*cols)]
+        else:
+            raise EvalError(f"relation {node.symbol!r} not interpreted")
+        return (vs, *int_row(vals))
+    if not isinstance(node, (Inf, Sup)):
+        raise TypeError(f"not a formula: {node!r}")
+    x, m = node.var, M.size
+    if m == 0:
+        raise EvalError("cannot quantify over an empty domain")
+    dom = {**dom, x: range(m)}
+    vs, nums, den = _table(M, node.body, dom)
+    if x in vs:
+        # x's axis has stride `inner`: reduce each block of m * inner cells
+        # to inner cells with int min/max over strided slices.
+        p = vs.index(x)
+        inner = math.prod(len(dom[v]) for v in vs[p + 1:])
+        pick, block = (min if isinstance(node, Inf) else max), m * inner
+        nums = [pick(nums[b + i:b + block:inner]) for b in range(0, len(nums), block) for i in range(inner)]
+        vs = vs[:p] + vs[p + 1:]
+    return vs, nums, den
 
 
 def eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None = None) -> Fraction:
-    """Exact value of phi in M under the assignment (element indices)."""
-    asg = dict(asg or {})
+    """Exact value of phi in M under the assignment (element indices).
 
-    def go(node: Formula, env: dict[str, int]) -> Fraction:
-        if isinstance(node, One):
-            return ONE
-        if isinstance(node, Apply):
-            args = tuple(_eval_term(M, t, env) for t in node.args)
-            if node.symbol == METRIC:
-                return M.metric[args[0]][args[1]]
-            rel = M.relations.get(node.symbol)
-            if rel is None:
-                raise EvalError(f"relation {node.symbol!r} not interpreted")
-            return rel.table[args]
-        if isinstance(node, Scale):
-            return node.coeff * go(node.body, env)
-        if isinstance(node, Sum):
-            return go(node.left, env) + go(node.right, env)
-        if isinstance(node, (Inf, Sup)):
-            best: Fraction | None = None
-            saved = env.get(node.var)
-            for e in range(M.size):
-                env[node.var] = e
-                v = go(node.body, env)
-                if best is None:
-                    best = v
-                elif isinstance(node, Inf):
-                    best = min(best, v)
-                else:
-                    best = max(best, v)
-            if saved is None:
-                del env[node.var]
-            else:
-                env[node.var] = saved
-            assert best is not None
-            return best
-        raise TypeError(f"not a formula: {node!r}")
-
-    return go(phi, asg)
+    The kernel of eval_table with each assigned variable pinned to a
+    one-element domain, so the result is a single cell.
+    """
+    _, nums, den = _table(M, phi, {v: (e,) for v, e in (asg or {}).items()})
+    return Fraction(nums[0], den)
 
 
 def eval_table(
     M: FiniteStructure, phi: Formula, variables: Sequence[str]
 ) -> dict[tuple[int, ...], Fraction]:
-    """Evaluate phi at every assignment of `variables`, bottom-up.
-
-    Each subformula is tabulated over its own free variables, so quantifier
-    alternation costs one table pass per binder instead of a nested loop.
+    """Evaluate phi at every assignment of `variables`, bottom-up: one table
+    pass per subformula (see _table), Fractions only for the returned cells,
+    keyed in itertools.product order.  A name repeated in `variables` reads
+    its first occurrence.
     """
     variables = tuple(variables)
-    fv = free_vars(phi)
-    missing = fv - set(variables)
+    missing = free_vars(phi) - set(variables)
     if missing:
         raise EvalError(f"free variables not covered: {sorted(missing)}")
     m = M.size
-
-    def term_tbl(t: Term) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
-        vs = tuple(sorted(term_vars_of(t)))
-        out: dict[tuple[int, ...], int] = {}
-        for asg in itertools.product(range(m), repeat=len(vs)):
-            out[asg] = _eval_term(M, t, dict(zip(vs, asg)))
-        return vs, out
-
-    def term_vars_of(t: Term) -> frozenset[str]:
-        from .syntax import term_vars
-        return term_vars(t)
-
-    def tbl(node: Formula) -> tuple[tuple[str, ...], dict[tuple[int, ...], Fraction]]:
-        if isinstance(node, One):
-            return (), {(): ONE}
-        if isinstance(node, Apply):
-            parts = [term_tbl(t) for t in node.args]
-            vs = tuple(sorted(set().union(*(set(p[0]) for p in parts)) if parts else set()))
-            pos = {v: i for i, v in enumerate(vs)}
-            projs = [tuple(pos[v] for v in p[0]) for p in parts]
-            if node.symbol == METRIC:
-                lookup = lambda args: M.metric[args[0]][args[1]]
-            else:
-                rel = M.relations.get(node.symbol)
-                if rel is None:
-                    raise EvalError(f"relation {node.symbol!r} not interpreted")
-                lookup = lambda args: rel.table[args]
-            out: dict[tuple[int, ...], Fraction] = {}
-            for asg in itertools.product(range(m), repeat=len(vs)):
-                args = tuple(
-                    part[1][tuple(asg[i] for i in proj)]
-                    for part, proj in zip(parts, projs)
-                )
-                out[asg] = lookup(args)
-            return vs, out
-        if isinstance(node, Scale):
-            vs, t = tbl(node.body)
-            return vs, {k: node.coeff * v for k, v in t.items()}
-        if isinstance(node, Sum):
-            vl, tl = tbl(node.left)
-            vr, tr = tbl(node.right)
-            vs = tuple(sorted(set(vl) | set(vr)))
-            pos = {v: i for i, v in enumerate(vs)}
-            pl = tuple(pos[v] for v in vl)
-            pr = tuple(pos[v] for v in vr)
-            out = {}
-            for asg in itertools.product(range(m), repeat=len(vs)):
-                out[asg] = tl[tuple(asg[i] for i in pl)] + tr[tuple(asg[i] for i in pr)]
-            return vs, out
-        if isinstance(node, (Inf, Sup)):
-            vb, t = tbl(node.body)
-            if node.var not in vb:
-                return vb, t
-            drop = vb.index(node.var)
-            vs = vb[:drop] + vb[drop + 1:]
-            out = {}
-            pick = min if isinstance(node, Inf) else max
-            for asg, v in t.items():
-                key = asg[:drop] + asg[drop + 1:]
-                cur = out.get(key)
-                out[key] = v if cur is None else pick(cur, v)
-            return vs, out
-        raise TypeError(f"not a formula: {node!r}")
-
-    vs, t = tbl(phi)
-    pos = [variables.index(v) for v in vs]
-    result: dict[tuple[int, ...], Fraction] = {}
-    for asg in itertools.product(range(m), repeat=len(variables)):
-        result[asg] = t[tuple(asg[i] for i in pos)]
-    return result
+    vs, nums, den = _table(M, phi, {v: range(m) for v in variables})
+    cells = [Fraction(n, den) for n in nums]
+    stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
+    idx = [0]
+    for j, v in enumerate(variables):
+        s = stride.get(v, 0) if variables.index(v) == j else 0
+        idx = [i + k * s for i in idx for k in range(m)]
+    keys = itertools.product(range(m), repeat=len(variables))
+    return dict(zip(keys, [cells[i] for i in idx]))
 
 
 def eval_condition(M: FiniteStructure, cond, asg: Mapping[str, int] | None = None) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .definability import FunctionTable, PredicateTable
-from .model import FiniteStructure, FunctionInterp, RelationInterp
+from .model import FiniteStructure, FunctionInterp, RelationInterp, validate_structure
 from .pra import MeasureAlgebra, build_algebra
 from .rationals import format_rational, parse_rational
 from .syntax import Formula, Signature, SymbolInfo, parse_formula
@@ -98,6 +98,8 @@ def structure_to_dict(M: FiniteStructure) -> dict:
 
 
 def structure_from_dict(data: Mapping) -> FiniteStructure:
+    """Decode and validate a structure; an invalid one raises FormatError
+    naming the failed check (see `validate_structure`) and its witness."""
     try:
         elements = tuple(str(e) for e in data["elements"])
         metric = tuple(
@@ -129,7 +131,12 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
             _parse_key(k, arity): parse_rational(v) for k, v in spec["table"].items()
         }
         relations[name] = RelationInterp(arity, parse_rational(spec["lambda"]), table)
-    return FiniteStructure(elements, metric, constants, functions, relations)
+    M = FiniteStructure(elements, metric, constants, functions, relations)
+    report = validate_structure(M)
+    if not report.ok:
+        where = "" if report.witness is None else f" at {report.witness}"
+        raise FormatError(f"invalid structure ({report.kind}): {report.message}{where}")
+    return M
 
 
 def save_structure(M: FiniteStructure, path: str) -> None:

@@ -126,21 +126,26 @@ def term_vars(term: Term) -> frozenset[str]:
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    """Free variables of a formula (quantifiers bind their variable)."""
-    if isinstance(phi, One):
-        return frozenset()
-    if isinstance(phi, Apply):
-        out: frozenset[str] = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, Scale):
-        return free_vars(phi.body)
-    if isinstance(phi, Sum):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Inf, Sup)):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    """Free variables of a formula (quantifiers bind their variable).
+
+    Sum and Scale nodes are walked with a stack, so a long sum costs no
+    recursion depth."""
+    out: set[str] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.left, node.right)
+        elif isinstance(node, Scale):
+            stack.append(node.body)
+        elif isinstance(node, Apply):
+            for t in node.args:
+                out |= term_vars(t)
+        elif isinstance(node, (Inf, Sup)):
+            out |= free_vars(node.body) - {node.var}
+        elif not isinstance(node, One):
+            raise TypeError(f"not a formula: {node!r}")
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +505,23 @@ def _scaled_str(phi: Formula) -> str:
 
 
 def render(phi: Formula) -> str:
-    """Concrete syntax for phi; parse_formula(render(phi)) == phi."""
+    """Concrete syntax for phi; parse_formula(render(phi)) == phi.
+
+    The left spine of a Sum chain is walked with a loop, so a long sum
+    costs no recursion depth."""
     if isinstance(phi, (Inf, Sup)):
         kw = "inf" if isinstance(phi, Inf) else "sup"
         return f"{kw} {phi.var}. {render(phi.body)}"
-    if isinstance(phi, Sum):
-        left = render(phi.left) if isinstance(phi.left, Sum) else _scaled_str(phi.left)
+    parts = []
+    while isinstance(phi, Sum):
         right = phi.right
         if isinstance(right, Scale) and right.coeff == -1:
-            return f"{left} - {_scaled_str(right.body)}"
-        return f"{left} + {_scaled_str(right)}"
-    return _scaled_str(phi)
+            parts.append(f" - {_scaled_str(right.body)}")
+        else:
+            parts.append(f" + {_scaled_str(right)}")
+        phi = phi.left
+    parts.append(_scaled_str(phi))
+    return "".join(reversed(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -646,5 +657,6 @@ def affine_combine(conditions: Sequence[Condition], coeffs: Sequence[Fraction]) 
         rterm = _scale_by(r, cond.rhs)
         lhs = lterm if lhs is None else Sum(lhs, lterm)
         rhs = rterm if rhs is None else Sum(rhs, rterm)
-    assert lhs is not None and rhs is not None
+    if lhs is None or rhs is None:
+        raise FormulaError("at least one combination coefficient must be positive")
     return Condition(lhs, rhs)

@@ -122,6 +122,37 @@ def test_eval_missing_assignment(capsys, work):
     assert code == 2 and "error" in err
 
 
+def test_invalid_structure_file_is_usage_error(capsys, work):
+    # d(a, b) = 1 but d(b, a) = 1/4: loading fails validation, so the
+    # distance axioms are never checked against an asymmetric metric.
+    M = FiniteStructure(
+        elements=("a", "b"),
+        metric=((ZERO, ONE), (F(1, 4), ZERO)),
+        constants={},
+        functions={},
+        relations={},
+    )
+    path = str(work["tmp"] / "asymmetric.json")
+    save_structure(M, path)
+    pred = str(work["tmp"] / "p.json")
+    save_predicate(PredicateTable(1, {(0,): ZERO, (1,): F(1, 2)}), pred)
+    code, out, err = run(capsys, [
+        "defcheck", "distance-axioms", "--structure", path, "--predicate", pred,
+    ])
+    assert code == 2 and out == ""
+    assert "invalid structure (symmetry)" in err
+
+
+def test_missing_relation_entry_is_usage_error(capsys, work):
+    data = json.loads(open(work["alg"]).read())
+    del data["relations"]["mu"]["table"]["1"]
+    path = work["tmp"] / "missing.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["eval", "mu(x)", "--structure", str(path), "--assign", "x=11"])
+    assert code == 2
+    assert "invalid structure (shape): relation 'mu' table must cover all 4 tuples" in err
+
+
 def test_automorphisms(capsys, work):
     code, out, _ = run(capsys, ["automorphisms", "--structure", work["alg"]])
     assert code == 0

@@ -1,11 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Mapping, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.model import (
+    EvalError,
     FiniteStructure,
     FunctionInterp,
     RelationInterp,
@@ -19,7 +22,25 @@ from affinelogic.model import (
 )
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_formula, random_metric, random_structure
-from affinelogic.syntax import parse_condition, parse_formula, free_vars
+from affinelogic.syntax import (
+    METRIC,
+    Apply,
+    Const,
+    Formula,
+    Func,
+    Inf,
+    One,
+    Scale,
+    Sum,
+    Sup,
+    Term,
+    Var,
+    free_vars,
+    parse_condition,
+    parse_formula,
+    render,
+    term_vars,
+)
 
 ZERO = F(0)
 ONE = F(1)
@@ -368,3 +389,369 @@ def test_first_order_flag():
 
     N = random_first_order_structure(rng, 3)
     assert N.is_first_order()
+
+
+# ---------------------------------------------------------------------------
+# the flat-table kernel against the recursive evaluators it replaced
+#
+# The three functions below are the evaluators as they were before the
+# integer kernel, kept verbatim (renamed) as references: a recursive
+# eval_formula and an eval_table over dicts of Fractions.
+
+
+
+
+def _reference_eval_term(M: FiniteStructure, t: Term, asg: Mapping[str, int]) -> int:
+    if isinstance(t, Var):
+        try:
+            return asg[t.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, Const):
+        try:
+            return M.constants[t.name]
+        except KeyError:
+            raise EvalError(f"constant {t.name!r} not interpreted") from None
+    fn = M.functions.get(t.name)
+    if fn is None:
+        raise EvalError(f"function {t.name!r} not interpreted")
+    args = tuple(_reference_eval_term(M, a, asg) for a in t.args)
+    return fn.table[args]
+
+
+def _reference_eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None = None) -> Fraction:
+    """Exact value of phi in M under the assignment (element indices)."""
+    asg = dict(asg or {})
+
+    def go(node: Formula, env: dict[str, int]) -> Fraction:
+        if isinstance(node, One):
+            return ONE
+        if isinstance(node, Apply):
+            args = tuple(_reference_eval_term(M, t, env) for t in node.args)
+            if node.symbol == METRIC:
+                return M.metric[args[0]][args[1]]
+            rel = M.relations.get(node.symbol)
+            if rel is None:
+                raise EvalError(f"relation {node.symbol!r} not interpreted")
+            return rel.table[args]
+        if isinstance(node, Scale):
+            return node.coeff * go(node.body, env)
+        if isinstance(node, Sum):
+            return go(node.left, env) + go(node.right, env)
+        if isinstance(node, (Inf, Sup)):
+            best: Fraction | None = None
+            saved = env.get(node.var)
+            for e in range(M.size):
+                env[node.var] = e
+                v = go(node.body, env)
+                if best is None:
+                    best = v
+                elif isinstance(node, Inf):
+                    best = min(best, v)
+                else:
+                    best = max(best, v)
+            if saved is None:
+                del env[node.var]
+            else:
+                env[node.var] = saved
+            assert best is not None
+            return best
+        raise TypeError(f"not a formula: {node!r}")
+
+    return go(phi, asg)
+
+
+def _reference_eval_table(
+    M: FiniteStructure, phi: Formula, variables: Sequence[str]
+) -> dict[tuple[int, ...], Fraction]:
+    """Evaluate phi at every assignment of `variables`, bottom-up.
+
+    Each subformula is tabulated over its own free variables, so quantifier
+    alternation costs one table pass per binder instead of a nested loop.
+    """
+    variables = tuple(variables)
+    fv = free_vars(phi)
+    missing = fv - set(variables)
+    if missing:
+        raise EvalError(f"free variables not covered: {sorted(missing)}")
+    m = M.size
+
+    def term_tbl(t: Term) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
+        vs = tuple(sorted(term_vars_of(t)))
+        out: dict[tuple[int, ...], int] = {}
+        for asg in itertools.product(range(m), repeat=len(vs)):
+            out[asg] = _reference_eval_term(M, t, dict(zip(vs, asg)))
+        return vs, out
+
+    def term_vars_of(t: Term) -> frozenset[str]:
+        return term_vars(t)
+
+    def tbl(node: Formula) -> tuple[tuple[str, ...], dict[tuple[int, ...], Fraction]]:
+        if isinstance(node, One):
+            return (), {(): ONE}
+        if isinstance(node, Apply):
+            parts = [term_tbl(t) for t in node.args]
+            vs = tuple(sorted(set().union(*(set(p[0]) for p in parts)) if parts else set()))
+            pos = {v: i for i, v in enumerate(vs)}
+            projs = [tuple(pos[v] for v in p[0]) for p in parts]
+            if node.symbol == METRIC:
+                lookup = lambda args: M.metric[args[0]][args[1]]
+            else:
+                rel = M.relations.get(node.symbol)
+                if rel is None:
+                    raise EvalError(f"relation {node.symbol!r} not interpreted")
+                lookup = lambda args: rel.table[args]
+            out: dict[tuple[int, ...], Fraction] = {}
+            for asg in itertools.product(range(m), repeat=len(vs)):
+                args = tuple(
+                    part[1][tuple(asg[i] for i in proj)]
+                    for part, proj in zip(parts, projs)
+                )
+                out[asg] = lookup(args)
+            return vs, out
+        if isinstance(node, Scale):
+            vs, t = tbl(node.body)
+            return vs, {k: node.coeff * v for k, v in t.items()}
+        if isinstance(node, Sum):
+            vl, tl = tbl(node.left)
+            vr, tr = tbl(node.right)
+            vs = tuple(sorted(set(vl) | set(vr)))
+            pos = {v: i for i, v in enumerate(vs)}
+            pl = tuple(pos[v] for v in vl)
+            pr = tuple(pos[v] for v in vr)
+            out = {}
+            for asg in itertools.product(range(m), repeat=len(vs)):
+                out[asg] = tl[tuple(asg[i] for i in pl)] + tr[tuple(asg[i] for i in pr)]
+            return vs, out
+        if isinstance(node, (Inf, Sup)):
+            vb, t = tbl(node.body)
+            if node.var not in vb:
+                return vb, t
+            drop = vb.index(node.var)
+            vs = vb[:drop] + vb[drop + 1:]
+            out = {}
+            pick = min if isinstance(node, Inf) else max
+            for asg, v in t.items():
+                key = asg[:drop] + asg[drop + 1:]
+                cur = out.get(key)
+                out[key] = v if cur is None else pick(cur, v)
+            return vs, out
+        raise TypeError(f"not a formula: {node!r}")
+
+    vs, t = tbl(phi)
+    pos = [variables.index(v) for v in vs]
+    result: dict[tuple[int, ...], Fraction] = {}
+    for asg in itertools.product(range(m), repeat=len(variables)):
+        result[asg] = t[tuple(asg[i] for i in pos)]
+    return result
+
+
+_VARS = ("x", "y", "z")
+_VALUES = st.builds(F, st.integers(-3, 4), st.integers(1, 4))
+_SCALES = st.sampled_from([F(0), F(-1), F(-1, 2), F(2, 3), F(1), F(3)])
+
+
+@st.composite
+def _eval_structures(draw, interpreted=st.just(True)):
+    """m <= 3 elements, arbitrary rational tables (the evaluator needs no
+    metric axioms), with constant c, functions f/1, g/2 and relations R/1,
+    S/2, each present when `interpreted` draws True."""
+    m = draw(st.integers(1, 3))
+    tuples = {k: list(itertools.product(range(m), repeat=k)) for k in (1, 2)}
+    elem = st.integers(0, m - 1)
+    return FiniteStructure(
+        elements=tuple(f"e{i}" for i in range(m)),
+        metric=tuple(tuple(draw(_VALUES) for _ in range(m)) for _ in range(m)),
+        constants={"c": draw(elem)} if draw(interpreted) else {},
+        functions={
+            name: FunctionInterp(k, ONE, {a: draw(elem) for a in tuples[k]})
+            for name, k in (("f", 1), ("g", 2)) if draw(interpreted)
+        },
+        relations={
+            name: RelationInterp(k, ONE, {a: draw(_VALUES) for a in tuples[k]})
+            for name, k in (("R", 1), ("S", 2)) if draw(interpreted)
+        },
+    )
+
+
+_TERMS = st.recursive(
+    st.sampled_from(_VARS).map(Var) | st.just(Const("c")),
+    lambda t: st.builds(lambda a: Func("f", (a,)), t)
+    | st.builds(lambda a, b: Func("g", (a, b)), t, t),
+    max_leaves=3,
+)
+# Quantifiers bind the same names that occur free, so bound variables
+# shadow free ones and nest over the same name.
+_FORMULAS = st.recursive(
+    st.just(One())
+    | st.builds(lambda a: Apply("R", (a,)), _TERMS)
+    | st.builds(lambda a, b: Apply("S", (a, b)), _TERMS, _TERMS)
+    | st.builds(lambda a, b: Apply(METRIC, (a, b)), _TERMS, _TERMS),
+    lambda f: st.builds(Scale, _SCALES, f)
+    | st.builds(Sum, f, f)
+    | st.builds(Inf, st.sampled_from(_VARS), f)
+    | st.builds(Sup, st.sampled_from(_VARS), f),
+    max_leaves=8,
+)
+
+
+def _outcome(evaluate, *args):
+    """The value, or the EvalError message, of one evaluation."""
+    try:
+        return "value", evaluate(*args)
+    except EvalError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def _table_variables(draw, phi):
+    """The free variables of phi in any order, with unused and repeated
+    names mixed in."""
+    extra = draw(st.lists(st.sampled_from(_VARS + ("w",)), max_size=2))
+    return tuple(draw(st.permutations(sorted(free_vars(phi)) + extra)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_eval_structures(), _FORMULAS, st.data())
+def test_eval_table_matches_reference(M, phi, data):
+    variables = data.draw(_table_variables(phi))
+    kind, got = _outcome(eval_table, M, phi, variables)
+    assert (kind, got) == _outcome(_reference_eval_table, M, phi, variables)
+    if kind == "value":
+        assert list(got) == list(itertools.product(range(M.size), repeat=len(variables)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_eval_structures(), _FORMULAS, st.data())
+def test_eval_formula_matches_reference_and_table_cell(M, phi, data):
+    names = sorted(free_vars(phi) | set(data.draw(st.lists(st.sampled_from(_VARS)))))
+    asg = {v: data.draw(st.integers(0, M.size - 1)) for v in names}
+    value = eval_formula(M, phi, asg)
+    assert value == _reference_eval_formula(M, phi, asg)
+    assert value == eval_table(M, phi, names)[tuple(asg[v] for v in names)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(_eval_structures(interpreted=st.booleans()), _FORMULAS, st.data())
+def test_eval_errors_match_reference(M, phi, data):
+    # Symbols drop out of M at random and variables out of the assignment:
+    # the same EvalError (or the same value) as the references.
+    names = data.draw(st.lists(st.sampled_from(_VARS), unique=True))
+    asg = {v: data.draw(st.integers(0, M.size - 1)) for v in names}
+    assert _outcome(eval_formula, M, phi, asg) == _outcome(_reference_eval_formula, M, phi, asg)
+    assert _outcome(eval_table, M, phi, names) == _outcome(_reference_eval_table, M, phi, names)
+
+
+def test_eval_errors_name_the_missing_symbol():
+    M = FiniteStructure(("a",), ((ZERO,),), {"c": 0}, {}, {})
+    cases = [
+        ("unbound variable 'x'", Apply(METRIC, (Var("x"), Var("x")))),
+        ("constant 'k' not interpreted", Apply(METRIC, (Const("c"), Const("k")))),
+        ("function 'f' not interpreted", Apply(METRIC, (Func("f", (Const("c"),)), Const("c")))),
+        ("relation 'R' not interpreted", Apply("R", (Const("c"),))),
+    ]
+    for message, phi in cases:
+        for evaluate in (eval_formula, _reference_eval_formula):
+            with pytest.raises(EvalError, match=message):
+                evaluate(M, phi, {})
+    with pytest.raises(EvalError, match="not covered"):
+        eval_table(M, cases[0][1], ())
+
+
+def test_eval_shadowing_and_nested_binders(algebra_structure):
+    M = algebra_structure
+    sig = M.signature()
+    for text in ("mu(x) + sup x. mu(x)", "inf x. sup x. mu(x)", "sup x. (mu(x) + inf x. -1 * mu(x))"):
+        phi = parse_formula(text, sig)
+        table = eval_table(M, phi, ("x",))
+        assert table == _reference_eval_table(M, phi, ("x",))
+        for x in range(M.size):
+            assert eval_formula(M, phi, {"x": x}) == _reference_eval_formula(M, phi, {"x": x}) \
+                == table[(x,)]
+
+
+def test_long_sum_needs_no_recursion():
+    M = build_algebra([F(1, 2), F(1, 2)]).to_structure()
+    sig = M.signature()
+    text = " + ".join(["mu(x)", "1/2 * d(x, y)", "-1/3 * mu(y)", "(inf z. d(x, z))"] * 5000)
+    phi = parse_formula(text, sig)
+    assert render(phi) == text  # text is in rendered form: parse and render round-trip
+    assert free_vars(phi) == {"x", "y"}
+    mu, d = M.relations["mu"].table, M.metric
+    table = eval_table(M, phi, ("x", "y"))
+    for (x, y), value in table.items():
+        assert value == 5000 * (mu[(x,)] + d[x][y] / 2 - mu[(y,)] / 3)  # inf_z d(x, z) = 0
+    for x, y in ((0, 0), (M.size - 1, 1)):
+        assert eval_formula(M, phi, {"x": x, "y": y}) == table[(x, y)]
+
+
+# Reference for the int metric checks of validate_structure: its metric-axiom
+# and relation-range loops as they were, in Fraction arithmetic.
+def _fraction_metric_checks(M):
+    m = M.size
+    for i in range(m):
+        for j in range(m):
+            dij = M.metric[i][j]
+            if dij < 0 or dij > 1:
+                return "metric range", (i, j)
+            if M.metric[j][i] != dij:
+                return "symmetry", (i, j)
+        if M.metric[i][i] != 0:
+            return "reflexivity", (i,)
+    for i in range(m):
+        for j in range(m):
+            if i != j and M.metric[i][j] == 0:
+                return "identity of indiscernibles", (i, j)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if M.metric[i][k] > M.metric[i][j] + M.metric[j][k]:
+                    return "triangle inequality", (i, j, k)
+    for rel in M.relations.values():
+        for args, v in rel.table.items():
+            if v < 0 or v > 1:
+                return "relation range", args
+    return None
+
+
+@st.composite
+def _perturbed_metrics(draw):
+    """A valid metric with a few entries overwritten (possibly breaking range,
+    symmetry, reflexivity, indiscernibility or the triangle inequality) and a
+    relation whose values may leave [0, 1]."""
+    m = draw(st.integers(1, 5))
+    metric = [list(row) for row in random_metric(draw(st.randoms(use_true_random=False)), m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        metric[i][j] = draw(st.builds(F, st.integers(-1, 7), st.integers(1, 6)))
+        if draw(st.booleans()):  # keep symmetry, so the later axioms are reached
+            metric[j][i] = metric[i][j]
+    values = st.builds(F, st.integers(-1, 7), st.integers(1, 6))
+    return FiniteStructure(
+        elements=tuple(f"e{i}" for i in range(m)),
+        metric=tuple(tuple(row) for row in metric),
+        constants={},
+        functions={},
+        relations={"R": RelationInterp(1, F(100), {(i,): draw(values) for i in range(m)})},
+    )
+
+
+_Q = F(1, 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_perturbed_metrics())
+@example(FiniteStructure(  # (0, 1, 2) and (0, 1, 3) both break the triangle inequality
+    elements=("a", "b", "c", "e"),
+    metric=((ZERO, _Q, ONE, ONE), (_Q, ZERO, _Q, _Q), (ONE, _Q, ZERO, _Q), (ONE, _Q, _Q, ZERO)),
+    constants={},
+    functions={},
+    relations={},
+))
+def test_int_metric_checks_match_fraction_reference(M):
+    expected = _fraction_metric_checks(M)
+    rep = validate_structure(M)
+    if expected is None:
+        assert rep.kind in (None, "relation Lipschitz")
+    else:
+        assert (rep.ok, rep.kind, rep.witness) == (False, *expected)

@@ -74,6 +74,18 @@ def test_structure_missing_field():
         structure_from_dict({"elements": ["a"]})
 
 
+def test_structure_is_validated_where_loaded():
+    M = build_algebra([F(1, 2), F(1, 2)]).to_structure()
+    data = structure_to_dict(M)
+    data["metric"][0][1] = "1/4"  # d(0, 1) != d(1, 0)
+    with pytest.raises(FormatError, match=r"invalid structure \(symmetry\): .* at \(0, 1\)"):
+        structure_from_dict(data)
+    data = structure_to_dict(M)
+    del data["relations"]["mu"]["table"]["1"]
+    with pytest.raises(FormatError, match=r"invalid structure \(shape\): relation 'mu'"):
+        structure_from_dict(data)
+
+
 def test_signature_roundtrip():
     M = build_algebra([F(1, 2), F(1, 2)]).to_structure()
     sig = M.signature()
