@@ -9,7 +9,7 @@ certificates, distance predicates and definability checks, and finite
 probability algebras.
 """
 
-from .linalg import affine_factor, affinely_independent, gauss_solve
+from .linalg import LinalgError, affine_factor, affinely_independent, gauss_solve
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinprogError, solve_standard
 from .mean import (
     MeanStructure,

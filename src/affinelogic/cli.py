@@ -9,6 +9,7 @@ machine-readable object whose rationals are exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -58,7 +59,7 @@ from .syntax import FormulaError, Signature, certificate, free_vars, parse_condi
 from .typespace import (
     BoundaryMeasure,
     DecompositionError,
-    NotAffineError,
+    NonUniqueDecompositionError,
     TypespaceError,
     TypeVector,
     affine_satisfiable,
@@ -78,7 +79,8 @@ OK = 0
 
 
 class CliError(Exception):
-    """Usage-level problem: bad flag combination, unparsable argument."""
+    """Usage-level problem: bad flag combination, unparsable argument; or a
+    report without the field its verdict promises."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,13 @@ def _vars(args) -> tuple[str, ...] | None:
     if raw is None:
         return None
     return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _present(value, field: str):
+    """value, checked to be set: a report field that its verdict promises."""
+    if value is None:
+        raise CliError(f"report has no {field}")
+    return value
 
 
 def _fmt(value: Fraction) -> str:
@@ -386,22 +395,22 @@ def cmd_types_satisfiable(args) -> int:
     conditions = [parse_condition(text, sig) for text in args.condition]
     res = affine_satisfiable(M, conditions, _vars(args), cap=args.cap)
     if res.satisfiable:
-        assert res.witness is not None
-        payload = {"satisfiable": True, "witness": _witness_obj(M, res.witness)}
+        witness = _present(res.witness, "witness")
+        payload = {"satisfiable": True, "witness": _witness_obj(M, witness)}
         mix = ", ".join(
-            f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(res.witness.items())
+            f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(witness.items())
         )
         _emit(args, payload, [f"satisfiable by mixture {{{mix}}}"])
         return OK
-    assert res.farkas is not None
+    farkas = _present(res.farkas, "Farkas vector")
     payload = {
         "satisfiable": False,
-        "farkas": [_fmt(c) for c in res.farkas],
+        "farkas": [_fmt(c) for c in farkas],
         "margin": _fmt(res.margin),
     }
     lines = [
         "refuted: nonnegative combination "
-        f"({', '.join(_fmt(c) for c in res.farkas)}) has margin {_fmt(res.margin)} < 0"
+        f"({', '.join(_fmt(c) for c in farkas)}) has margin {_fmt(res.margin)} < 0"
     ]
     _emit(args, payload, lines)
     return CHECK_FALSE
@@ -503,14 +512,13 @@ def cmd_def_domination(args) -> int:
     Q = load_predicate(args.upper)
     res = lambda_domination(M, P, Q, parse_rational(args.eps))
     if res.dominates:
-        assert res.lam is not None
-        _emit(args, {"dominates": True, "lam": _fmt(res.lam)},
-              [f"lam = {_fmt(res.lam)}"])
+        lam = _present(res.lam, "lam")
+        _emit(args, {"dominates": True, "lam": _fmt(lam)}, [f"lam = {_fmt(lam)}"])
         return OK
-    assert res.witness is not None
-    payload = {"dominates": False, "witness": [M.elements[i] for i in res.witness]}
+    witness = _present(res.witness, "witness")
+    payload = {"dominates": False, "witness": [M.elements[i] for i in witness]}
     _emit(args, payload,
-          [f"no lam works: at {_labels(M, res.witness)} P = 0 < Q"])
+          [f"no lam works: at {_labels(M, witness)} P = 0 < Q"])
     return CHECK_FALSE
 
 
@@ -580,12 +588,12 @@ def cmd_def_invariant_type(args) -> int:
     f = load_function_table(args.function)
     family = load_family(args.family, M.signature(), _vars(args))
     p = invariant_type(M, f, family)
-    assert p.witness is not None
+    witness = _present(p.witness, "witness")
     payload = {
         "values": [_fmt(x) for x in p.values],
-        "witness": _witness_obj(M, p.witness),
+        "witness": _witness_obj(M, witness),
     }
-    mix = ", ".join(f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(p.witness.items()))
+    mix = ", ".join(f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(witness.items()))
     lines = [
         "type values: (" + ", ".join(_fmt(x) for x in p.values) + ")",
         f"witness distribution {{{mix}}}",
@@ -728,7 +736,16 @@ def cmd_suite(args) -> int:
 # parser wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing never changes the parser, and `append` options copy their
+    default list before appending, so every `main` call in a process can
+    reuse one parser.  Each subcommand's `func` is the `cmd_*` function
+    bound when the parser was built: replacing a `cmd_*` attribute of this
+    module afterwards does not change what `main` dispatches to.
+    """
     parser = argparse.ArgumentParser(
         prog="affinelogic",
         description="Affine continuous logic over finite metric structures.",
@@ -920,19 +937,23 @@ _USER_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser comes from `build_parser`, built on the first call in a
+    process and reused by every later one.  Errors map to exit codes by
+    type alone: a point with no boundary decomposition exits 1, a family
+    that does not separate the extreme vertices and every other user error
+    exit 2.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DecompositionError as exc:
-        if "separate" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        print(f"no decomposition: {exc}", file=sys.stderr)
-        return CHECK_FALSE
-    except NotAffineError as exc:
+    except NonUniqueDecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except DecompositionError as exc:
+        print(f"no decomposition: {exc}", file=sys.stderr)
+        return CHECK_FALSE
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

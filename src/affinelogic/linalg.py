@@ -18,6 +18,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class LinalgError(RuntimeError):
+    """A solve returned an outcome without the part its status promises."""
+
+
 def int_row(values: Sequence) -> tuple[list[int], int]:
     """Exact rationals as int numerators over their least common denominator."""
     pairs = [
@@ -197,10 +201,12 @@ def affine_factor(
     rhs = [values[i] for i in reps]
     sol = gauss_solve(rows, rhs)
     if not sol.consistent:
-        assert sol.combination is not None
+        if sol.combination is None:
+            raise LinalgError("inconsistent system without a row combination")
         return FactorResult(
             False,
             residue=FactorResidue(tuple(keys[i] for i in reps), sol.combination),
         )
-    assert sol.x is not None
+    if sol.x is None:
+        raise LinalgError("consistent system without a solution")
     return FactorResult(True, offset=sol.x[0], coeffs=tuple(sol.x[1:]))

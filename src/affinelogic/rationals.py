@@ -10,8 +10,17 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' (or a plain integer string) into a Fraction."""
+    """Parse 'p/q' (or a plain integer string) into a Fraction.
+
+    ASCII '[-]digits/digits' and '[-]digits', the form format_rational
+    writes, are converted with int(); any other text goes to Fraction's
+    own parser, which accepts the same values more slowly.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
     try:
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None

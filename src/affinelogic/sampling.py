@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .definability import FunctionTable, PredicateTable
+from .linalg import int_row
 from .model import FiniteStructure, FunctionInterp, RelationInterp
 from .syntax import (
     Apply,
@@ -69,14 +71,31 @@ def lipschitz_relation(
     lam: Fraction,
     m: int,
 ) -> dict[tuple[int, ...], Fraction]:
-    """Inf-convolution of random raw values: lam-Lipschitz, in [0, 1]."""
+    """Inf-convolution of random raw values: lam-Lipschitz, in [0, 1].
 
-    def dist(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        return sum((M_metric[x][y] for x, y in zip(a, b)), start=ZERO)
-
+    The value at a is min over b of raw[b] + lam * d(a, b), with d the sum
+    metric.  A sum over coordinates lets the min run one coordinate at a
+    time, in ints over one common denominator of the raw values and lam
+    times the metric.
+    """
     tuples = list(itertools.product(range(m), repeat=arity))
     raw = {a: random_fraction(rng) for a in tuples}
-    return {a: min(raw[b] + lam * dist(a, b) for b in tuples) for a in tuples}
+    raw_nums, raw_den = int_row(list(raw.values()))
+    metric_nums, metric_den = int_row([d for row in M_metric for d in row])
+    lam_num, lam_den = Fraction(lam).as_integer_ratio()
+    den = lcm(raw_den, lam_den * metric_den)
+    scale = lam_num * (den // (lam_den * metric_den))
+    step = [[scale * metric_nums[x * m + y] for y in range(m)] for x in range(m)]
+    vals = [v * (den // raw_den) for v in raw_nums]
+    # vals is row-major over the tuples; each pass takes the min along one axis
+    for stride in (m ** k for k in range(arity)):
+        out = []
+        for i in range(len(vals)):
+            x = i // stride % m
+            base = i - x * stride
+            out.append(min(vals[base + y * stride] + d for y, d in enumerate(step[x])))
+        vals = out
+    return {a: Fraction(v, den) for a, v in zip(tuples, vals)}
 
 
 def tight_function_lambda(

@@ -572,7 +572,8 @@ def run_invariant(seed: int = 0, instances: int = 200) -> SuiteResult:
         family = FormulaFamily(("x",), formulas)
         p = invariant_type(M, f, family)
         w = p.witness
-        assert w is not None
+        if w is None:
+            return _result(name, start, False, i + 1, f"instance {i}: no witness")
         if pushforward(f, w) != w:
             return _result(name, start, False, i + 1, f"instance {i}: witness not invariant")
         for j, phi in enumerate(family.formulas):

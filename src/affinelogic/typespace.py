@@ -143,7 +143,6 @@ def mixture_type(types: Sequence[TypeVector], gamma: Sequence[Fraction]) -> Type
         for g, t in zip(gs, types):
             if g == 0:
                 continue
-            assert t.witness is not None
             for a, w in t.witness.items():
                 witness[a] = witness.get(a, ZERO) + g * w
     else:
@@ -218,6 +217,22 @@ def factor_table_through_family(
     points = [tuple(tbl[a] for tbl in tables) for a in keys]
     values = [table[a] for a in keys]
     return linalg.affine_factor(keys, points, values)
+
+
+def _affine_in_family(
+    hull: TypeHull, table: Mapping[tuple[int, ...], Fraction], message: str
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Offset and coefficients of a table factored through the hull's family.
+
+    A table that does not factor raises NotAffineError(message) with the
+    failure certificate.
+    """
+    factored = factor_table_through_family(hull.structure, table, hull.family)
+    if not factored.ok:
+        raise NotAffineError(message, factored.conflict or factored.residue)
+    if factored.offset is None or factored.coeffs is None:
+        raise TypespaceError("affine factoring succeeded without coefficients")
+    return factored.offset, factored.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +327,9 @@ def exposed_face(
     attaining the minimum (or maximum), or flags the whole hull when the
     induced functional is constant on it.
     """
-    factored = factor_table_through_family(hull.structure, table, hull.family)
-    if not factored.ok:
-        raise NotAffineError(
-            "predicate does not factor affinely through the family",
-            factored.conflict or factored.residue,
-        )
-    assert factored.offset is not None and factored.coeffs is not None
-    c0, cs = factored.offset, factored.coeffs
+    c0, cs = _affine_in_family(
+        hull, table, "predicate does not factor affinely through the family"
+    )
     scores = [
         c0 + sum((c * x for c, x in zip(cs, v.values)), start=ZERO)
         for v in hull.vertices
@@ -371,14 +381,9 @@ def condition_functionals(
         lhs_t = eval_table(hull.structure, cond.lhs, hull.family.variables)
         rhs_t = eval_table(hull.structure, cond.rhs, hull.family.variables)
         diff = {a: rhs_t[a] - lhs_t[a] for a in lhs_t}
-        factored = factor_table_through_family(hull.structure, diff, hull.family)
-        if not factored.ok:
-            raise NotAffineError(
-                "condition is not affine in the family coordinates",
-                factored.conflict or factored.residue,
-            )
-        assert factored.offset is not None and factored.coeffs is not None
-        out.append((factored.offset, factored.coeffs))
+        out.append(_affine_in_family(
+            hull, diff, "condition is not affine in the family coordinates"
+        ))
     return out
 
 
@@ -579,7 +584,12 @@ def barycenter(hull: TypeHull, measure: BoundaryMeasure) -> TypeVector:
 
 
 class DecompositionError(TypespaceError):
-    pass
+    """keisler_decompose cannot certify a boundary measure for the point."""
+
+
+class NonUniqueDecompositionError(DecompositionError):
+    """The extreme vertices are affinely dependent, so the family does not
+    separate them and a decomposition, if any, is not unique."""
 
 
 def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
@@ -601,7 +611,7 @@ def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
     idx = list(report.extreme_indices)
     vectors = [hull.vertices[i].values for i in idx]
     if not linalg.affinely_independent(vectors):
-        raise DecompositionError(
+        raise NonUniqueDecompositionError(
             "extreme vertices are affinely dependent: the family does not "
             "separate, decomposition is not unique"
         )
@@ -612,7 +622,8 @@ def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
     sol = linalg.gauss_solve(rows, rhs)
     if not sol.consistent:
         raise DecompositionError("point lies outside the affine hull of the extremes")
-    assert sol.x is not None
+    if sol.x is None:
+        raise TypespaceError("consistent system without a solution")
     if any(w < 0 for w in sol.x):
         raise DecompositionError("point lies outside the hull of the extremes")
     return BoundaryMeasure({i: w for i, w in zip(idx, sol.x) if w != 0})

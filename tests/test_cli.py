@@ -3,14 +3,35 @@ from fractions import Fraction as F
 
 import pytest
 
-from affinelogic.cli import main
+from affinelogic import cli
+from affinelogic.cli import build_parser, main
 from affinelogic.definability import FunctionTable, PredicateTable, distance_predicate
 from affinelogic.model import FiniteStructure, RelationInterp
 from affinelogic.pra import build_algebra
 from affinelogic.serialize import save_function_table, save_predicate, save_structure
+from affinelogic.typespace import SatisfiabilityResult
 
 ZERO = F(0)
 ONE = F(1)
+
+
+def fo_structure(names, patterns):
+    """Discrete metric; relation Rc holds at element i iff patterns[i][c] == 1."""
+    n = len(names)
+    return FiniteStructure(
+        elements=tuple(names),
+        metric=tuple(
+            tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n)
+        ),
+        constants={},
+        functions={},
+        relations={
+            f"R{c}": RelationInterp(
+                1, ONE, {(i,): F(patterns[i][c]) for i in range(n)}
+            )
+            for c in range(len(patterns[0]))
+        },
+    )
 
 
 @pytest.fixture
@@ -21,21 +42,7 @@ def work(tmp_path):
     paths["alg"] = str(tmp_path / "alg.json")
     save_structure(A, paths["alg"])
 
-    patterns = [(0, 0), (1, 0), (0, 1)]
-    fo = FiniteStructure(
-        elements=("u", "v", "w"),
-        metric=tuple(
-            tuple(ZERO if i == j else ONE for j in range(3)) for i in range(3)
-        ),
-        constants={},
-        functions={},
-        relations={
-            f"R{c}": RelationInterp(
-                1, ONE, {(i,): F(patterns[i][c]) for i in range(3)}
-            )
-            for c in range(2)
-        },
-    )
+    fo = fo_structure(("u", "v", "w"), [(0, 0), (1, 0), (0, 1)])
     paths["fo"] = str(tmp_path / "fo.json")
     save_structure(fo, paths["fo"])
 
@@ -287,6 +294,22 @@ def test_types_keisler_non_first_order_fails(capsys, work):
     assert "no decomposition" in err
 
 
+def test_types_keisler_dependent_extremes_is_usage_error(capsys, work):
+    # the four corners of the unit square are extreme and affinely dependent
+    square = fo_structure(("a", "b", "c", "d"), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    path = str(work["tmp"] / "square.json")
+    save_structure(square, path)
+    code, out, err = run(capsys, [
+        "types", "keisler", "--structure", path, "--family", work["family_fo"],
+        "--point", "a",
+    ])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: extreme vertices are affinely dependent: the family does not "
+        "separate, decomposition is not unique\n"
+    )
+
+
 def test_types_distance(capsys, work):
     code, out, _ = run(capsys, [
         "types", "distance", "--structure", work["alg"], "--family", work["family"],
@@ -465,3 +488,61 @@ def test_suite_json(capsys):
 def test_suite_unknown_name(capsys):
     code, _, err = run(capsys, ["suite", "nope"])
     assert code == 2 and "error" in err
+
+
+def test_report_without_promised_field_is_an_error(capsys, work, monkeypatch):
+    monkeypatch.setattr(
+        cli, "affine_satisfiable", lambda *args, **kwargs: SatisfiabilityResult(True)
+    )
+    code, out, err = run(capsys, [
+        "types", "satisfiable", "--structure", work["alg"], "--condition", "0 * 1 <= mu(x)",
+    ])
+    assert (code, out, err) == (2, "", "error: report has no witness\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: repeated main calls must not see each other
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_append_defaults_do_not_leak_between_calls(capsys, work):
+    code, out, _ = run(capsys, ["eval", "mu(x)", "--structure", work["alg"], "--assign", "x=11"])
+    assert (code, out) == (0, "1/1\n")
+    code, out, err = run(capsys, ["eval", "mu(x)", "--structure", work["alg"]])
+    assert code == 2 and out == "" and "error" in err
+
+    parser = build_parser()
+    evaluate = ["eval", "mu(x)", "--structure", work["alg"]]
+    assert parser.parse_args(evaluate + ["--assign", "x=11"]).assign == ["x=11"]
+    assert parser.parse_args(evaluate).assign == []
+    verify = ["ultramean", "verify", "1", "--mu", "1/2,1/2"]
+    assert parser.parse_args(verify + ["--structure", "a", "--structure", "b"]).structure == ["a", "b"]
+    assert parser.parse_args(verify + ["--structure", "c"]).structure == ["c"]
+    facial = ["types", "facial", "--structure", "s", "--family", "f"]
+    assert parser.parse_args(facial + ["--condition", "1 <= 1", "--condition", "0 <= 1"]).condition == [
+        "1 <= 1", "0 <= 1",
+    ]
+    assert parser.parse_args(facial + ["--condition", "0 <= 1"]).condition == ["0 <= 1"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["types", "keisler", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: affinelogic" in texts[0]
+
+
+def test_usage_error_then_valid_call(capsys, work):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "mu(x)"])
+    assert exit_info.value.code == 2
+    assert "--structure" in capsys.readouterr().err
+    code, out, err = run(capsys, ["eval", "mu(x)", "--structure", work["alg"], "--assign", "x=11"])
+    assert (code, out, err) == (0, "1/1\n", "")

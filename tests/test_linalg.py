@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelogic import linalg
 from affinelogic.linalg import (
+    LinalgError,
+    LinearSolution,
     affine_factor,
     affinely_independent,
     gauss_solve,
@@ -81,6 +85,13 @@ def test_affine_factor_residue_certifies_nonaffineness():
     for j in range(2):
         assert sum(c * rows[i][j] for i, c in enumerate(comb)) == 0
     assert sum(c * vals[i] for i, c in enumerate(comb)) != 0
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_affine_factor_rejects_a_solution_without_its_certificate(monkeypatch, consistent):
+    monkeypatch.setattr(linalg, "gauss_solve", lambda rows, rhs: LinearSolution(consistent))
+    with pytest.raises(LinalgError):
+        affine_factor([0, 1], [[F(0)], [F(1)]], [F(0), F(1)])
 
 
 @settings(max_examples=60, deadline=None)

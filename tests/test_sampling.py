@@ -9,6 +9,7 @@ from affinelogic.sampling import (
     lipschitz_relation,
     random_first_order_structure,
     random_formula,
+    random_fraction,
     random_hull_structure,
     random_metric,
     random_structure,
@@ -50,6 +51,35 @@ def test_lipschitz_relation_respects_modulus(seed):
         for b in itertools.product(range(m), repeat=arity):
             dist = sum(d[i][j] for i, j in zip(a, b))
             assert abs(tbl[a] - tbl[b]) <= lam * dist
+
+
+def _lipschitz_relation_reference(rng, M_metric, arity, lam, m):
+    """lipschitz_relation before the int rewrite: the Fraction double loop."""
+
+    def dist(a, b):
+        return sum((M_metric[x][y] for x, y in zip(a, b)), start=F(0))
+
+    tuples = list(itertools.product(range(m), repeat=arity))
+    raw = {a: random_fraction(rng) for a in tuples}
+    return {a: min(raw[b] + lam * dist(a, b) for b in tuples) for a in tuples}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.fractions(min_value=-2, max_value=3, max_denominator=12),
+)
+def test_lipschitz_relation_matches_fraction_convolution(seed, m, arity, lam):
+    rng = random.Random(seed)
+    metric = random_metric(rng, m)
+    rng_ref, rng_new = random.Random(seed), random.Random(seed)
+    want = _lipschitz_relation_reference(rng_ref, metric, arity, lam, m)
+    got = lipschitz_relation(rng_new, metric, arity, lam, m)
+    assert list(got.items()) == list(want.items())
+    # the same draws: both generators are left in the same state
+    assert rng_new.getstate() == rng_ref.getstate()
 
 
 def test_tight_function_lambda_identity_and_constant():

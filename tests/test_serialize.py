@@ -1,8 +1,10 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.definability import FunctionTable, PredicateTable
 from affinelogic.pra import build_algebra
@@ -37,6 +39,60 @@ def test_rational_formatting():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("a/b")
+
+
+def _parse_rational_reference(text):
+    """parse_rational before the int() fast path: Fraction's parser alone."""
+    try:
+        return F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}: {exc}") from None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", value.numerator, value.denominator
+
+
+def _small_exponent(text):
+    """No exponent of four or more digits: Fraction('1e-999999999') builds
+    10**999999999 and runs for hours, in the reference as in parse_rational.
+    Text with an exponent never takes the int() path, so nothing is lost."""
+    return re.search(r"[eE][-+]?\d[\d_]{3,}", text) is None
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-+/ _.eE\t\u0663\u00b2", max_size=12),
+    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+).filter(_small_exponent)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_RATIONAL_TEXT)
+@example("1/0")
+@example("-0/0")
+@example("-3/-4")
+@example("+3/4")
+@example("1_0/3")
+@example(" 7/2")
+@example("7/2\n")
+@example("1.5")
+@example("2e3")
+@example("1e-999")
+@example("9_9E+9_9")
+@example("\u0663/4")
+@example("\u00b2")
+@example("5/")
+@example("/5")
+@example("-")
+@example("")
+@example("007/010")
+def test_parse_rational_matches_fraction_parser(text):
+    assert _outcome(parse_rational, text) == _outcome(_parse_rational_reference, text)
 
 
 def test_structure_roundtrip(tmp_path):
