@@ -9,12 +9,13 @@ exact computation: linear solves, closed forms, exhaustive minima.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .model import FiniteStructure, automorphisms, eval_table, neighbour_pairs
+from .model import FiniteStructure, automorphisms, eval_table, int_metric, neighbour_pairs
 from .typespace import FormulaFamily, TypeVector, factor_table_through_family
 
 ZERO = Fraction(0)
@@ -101,22 +102,52 @@ def _normalize_set(D, n: int | None = None) -> tuple[frozenset[tuple[int, ...]],
 # distance predicates
 
 
+def _sums(rows: Sequence[Sequence[int]], a: tuple[int, ...]) -> Sequence[int]:
+    """[sum_i rows[a[i]][y[i]] for y in product(range(m), repeat=len(a))].
+
+    With rows the int metric this is the distance from a to every tuple y,
+    in the order of `_tuples`; with its transpose, from every y to a.
+    """
+    if not a:
+        return [0]
+    out = rows[a[0]]
+    for x in a[1:]:
+        row = rows[x]
+        out = [s + r for s in out for r in row]
+    return out
+
+
+def _set_distances(d: list[list[int]], tuples) -> list[int]:
+    """Int numerators, over the denominator of the int metric d, of the
+    distance from each tuple (in the order of `_tuples`) to the nonempty
+    set `tuples`: an int min over the members."""
+    cols = [list(col) for col in zip(*d)]
+    best = None
+    for b in tuples:
+        dist = _sums(cols, b)
+        best = dist if best is None else list(map(min, best, dist))
+    return best
+
+
 def distance_predicate(
     M: FiniteStructure, D, n: int | None = None
 ) -> PredicateTable:
     """Distance-to-D table in the sum metric on tuples.
 
-    For empty D the result is the constant sup of the tuple metric (n times
-    the diameter), the value of an infimum over nothing in this calculus.
+    Each cell is an int min of int sums over the metric's common
+    denominator (see `int_metric`); a Fraction is built only per returned
+    value.  For empty D the result is the constant sup of the tuple metric
+    (n times the diameter), the value of an infimum over nothing in this
+    calculus.
     """
     tuples, n = _normalize_set(D, n)
     if not tuples:
         top = Fraction(n) * M.diameter()
         return PredicateTable(n, {a: top for a in _tuples(M, n)})
-    values = {
-        a: min(M.tuple_distance(a, b) for b in tuples) for a in _tuples(M, n)
-    }
-    return PredicateTable(n, values)
+    d, den = int_metric(M)
+    nums = _set_distances(d, tuples)
+    cell = {v: Fraction(v, den) for v in set(nums)}
+    return PredicateTable(n, dict(zip(_tuples(M, n), [cell[v] for v in nums])))
 
 
 @dataclass
@@ -151,6 +182,8 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
     """Nonnegativity, nonexpansiveness and approachability of P, exactly.
 
     M is assumed to be a valid structure (see `validate_structure`).
+    P and the metric are scaled once to int numerators over one common
+    denominator L, and every comparison below is on those ints.
     Nonexpansiveness is checked on neighbour pairs only, which is exact in
     the sum metric (see `neighbour_pairs`); its witness (a, b) has
     P(a) - P(b) > d(a, b).  Approachability at a is decided in closed form
@@ -158,23 +191,29 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
     """
     validate_predicate(M, P)
     tuples = _tuples(M, P.arity)
+    d, D = int_metric(M)
+    nums, den = linalg.int_row([P.values[a] for a in tuples])
+    L = math.lcm(den, D)
+    p = [v * (L // den) for v in nums]
+    d = [[v * (L // D) for v in row] for row in d]
 
     nonneg = AxiomCheck(True)
-    for a in tuples:
-        if P.values[a] < 0:
+    for a, v in zip(tuples, p):
+        if v < 0:
             nonneg = AxiomCheck(False, (a,))
             break
 
     nonexp = AxiomCheck(True)
+    pv = dict(zip(tuples, p))
     for a, b, x, y in neighbour_pairs(M.size, P.arity):
-        diff = P.values[a] - P.values[b]
-        if abs(diff) > M.metric[x][y]:
+        diff = pv[a] - pv[b]
+        if abs(diff) > d[x][y]:
             nonexp = AxiomCheck(False, (a, b) if diff > 0 else (b, a))
             break
 
     approach = AxiomCheck(True)
-    for a in tuples:
-        farkas = _approach_refutation(M, P, a, tuples)
+    for a, pa in zip(tuples, p):
+        farkas = _approach_refutation(a, pa, p, _sums(d, a))
         if farkas is not None:
             approach = AxiomCheck(False, (a, farkas))
             break
@@ -183,39 +222,41 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
 
 
 def _approach_refutation(
-    M: FiniteStructure, P: PredicateTable, a: tuple[int, ...],
-    tuples: Sequence[tuple[int, ...]],
+    a: tuple[int, ...], pa: int, p: Sequence[int], dist: Sequence[int],
 ) -> tuple[Fraction, Fraction] | None:
     """Farkas pair (1 - s, s) refuting approachability at a, or None.
+
+    P(a) = pa / L, P(y) = p[y] / L and d(a, y) = dist[y] / L, over one
+    common denominator L, with y indexing the tuples in a fixed order.
 
     With f(y) = -P(y) and g(y) = P(a) - d(a, y), some distribution has
     mean f >= 0 and mean g >= 0 unless, by Ville's alternative, some
     s in [0, 1] has (1 - s) f(y) + s g(y) < 0 for every y.  Writing
     h = g - f, each y asks s * h(y) < -f(y): an open half-line for s when
     h(y) != 0, and f(y) < 0 when h(y) = 0.  Those s form the interval
-    (lo, hi) cut from [0, 1]; it is nonempty iff lo < hi, and its midpoint
-    is re-checked exactly before it is returned.
+    (lo, hi) cut from [0, 1]; it is nonempty iff lo < hi.  L cancels in
+    -f / h, so lo and hi are kept as int (numerator, denominator > 0)
+    pairs and compared cross-multiplied.  The midpoint s = sn / sd is
+    re-checked exactly, as (sd - sn) * f + sn * g < 0 in ints for every y,
+    before it is returned as Fractions.
     """
-    pa = P.values[a]
-    gaps = []
-    lo, hi = ZERO, ONE
-    for y in tuples:
-        f = -P.values[y]
-        g = pa - M.tuple_distance(a, y)
-        h = g - f
+    ln, ld, hn, hd = 0, 1, 1, 1
+    for py, dy in zip(p, dist):
+        h = pa - dy + py  # (g - f) * L; the bound -f / h is py / h
         if h > 0:
-            hi = min(hi, -f / h)
+            if py * hd < hn * h:
+                hn, hd = py, h
         elif h < 0:
-            lo = max(lo, -f / h)
-        elif f >= 0:
+            if py * ld < ln * h:  # py / h > ln / ld, with h < 0
+                ln, ld = -py, -h
+        elif py <= 0:
             return None
-        if lo >= hi:
+        if ln * hd >= hn * ld:
             return None
-        gaps.append((f, g))
-    s = (lo + hi) / 2
-    if max((1 - s) * f + s * g for f, g in gaps) >= 0:
+    sn, sd = ln * hd + hn * ld, 2 * ld * hd
+    if any((sn - sd) * py + sn * (pa - dy) >= 0 for py, dy in zip(p, dist)):
         raise DefinabilityError(f"approachability refutation at {a} does not refute")
-    return 1 - s, s
+    return Fraction(sd - sn, sd), Fraction(sn, sd)
 
 
 def zeroset_recover(M: FiniteStructure, P: PredicateTable) -> frozenset[tuple[int, ...]]:
@@ -375,7 +416,9 @@ def inf_over_definable(
     P must be lam-Lipschitz in the trailing block (validated on neighbour
     pairs of the block, which is exact, see `neighbour_pairs`); that is what
     makes the penalty form with lam * distance-to-D agree with
-    the direct minimum.
+    the direct minimum.  The scan, the minimum and the identity compare
+    int numerators: P over its common denominator, the metric over its own
+    (see `int_metric`), cross-multiplied with lam.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -389,18 +432,26 @@ def inf_over_definable(
         raise DefinabilityError("P arity must be at least the set arity")
     xs = _tuples(M, m)
     ys = _tuples(M, n)
+    d, D = int_metric(M)
+    nums, den = linalg.int_row(list(P.values.values()))
+    pv = dict(zip(P.values, nums))
+    # |P(x, y1) - P(x, y2)| > lam * d(u, v), times den * lam.denominator * D
+    lhs, rhs = lam.denominator * D, lam.numerator * den
     pairs = list(neighbour_pairs(M.size, n))
     for x in xs:
         for y1, y2, u, v in pairs:
-            if abs(P.values[x + y1] - P.values[x + y2]) > lam * M.metric[u][v]:
+            if lhs * abs(pv[x + y1] - pv[x + y2]) > rhs * d[u][v]:
                 raise DefinabilityError(
                     f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
                 )
-    dist = distance_predicate(M, tuples_D, n)
-    q = {x: min(P.values[x + b] for b in tuples_D) for x in xs}
+    # P(x, z) + lam * dist(z, D), times the same positive factor
+    penalty = [rhs * v for v in _set_distances(d, tuples_D)]
+    qn = {x: min([pv[x + b] for b in tuples_D]) for x in xs}
     identity = all(
-        min(P.values[x + z] + lam * dist.values[z] for z in ys) == q[x] for x in xs
+        min([lhs * pv[x + z] + pen for z, pen in zip(ys, penalty)]) == lhs * qn[x]
+        for x in xs
     )
+    q = {x: Fraction(v, den) for x, v in qn.items()}
     return ProjectionReport(PredicateTable(m, q), identity, lam)
 
 

@@ -158,6 +158,19 @@ def neighbour_pairs(
                     yield a, line[y], x, y
 
 
+def int_metric(M: FiniteStructure) -> tuple[list[list[int]], int]:
+    """The metric as int numerator rows over its common denominator D > 0:
+    d(i, j) = rows[i][j] / D.
+
+    Comparisons of distances, and of anything else scaled to a multiple of
+    D, are then comparisons of int numerators.  Built afresh per call in
+    O(m^2); M.metric must be m x m.
+    """
+    m = M.size
+    flat, D = int_row([x for row in M.metric for x in row])
+    return [flat[i:i + m] for i in range(0, m * m, m)], D
+
+
 def validate_structure(M: FiniteStructure) -> ValidationReport:
     """Check shape, metric axioms, value ranges, and declared Lipschitz bounds.
 
@@ -202,8 +215,7 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
 
     # The axioms and Lipschitz scans compare int numerators: the metric's
     # over its common denominator D, each relation's over its own.
-    flat, D = int_row([x for row in M.metric for x in row])
-    d = [flat[i:i + m] for i in range(0, m * m, m)]
+    d, D = int_metric(M)
     for i in range(m):
         for j in range(m):
             dij = d[i][j]

@@ -14,8 +14,11 @@ def parse_rational(text: str) -> Fraction:
 
     ASCII '[-]digits/digits' and '[-]digits', the form format_rational
     writes, are converted with int(); any other text goes to Fraction's
-    own parser, which accepts the same values more slowly.
+    own parser, which accepts the same values more slowly.  A value that
+    is not a string, such as a JSON number, is malformed too.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"malformed rational {text!r}: not a 'p/q' string")
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     try:

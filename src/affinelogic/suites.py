@@ -611,6 +611,6 @@ def run_suites(names: Sequence[str] | None = None, seed: int = 0) -> list[SuiteR
     results = []
     for name in picked:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
         results.append(SUITES[name](seed))
     return results

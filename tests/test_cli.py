@@ -486,8 +486,23 @@ def test_suite_json(capsys):
 
 
 def test_suite_unknown_name(capsys):
-    code, _, err = run(capsys, ["suite", "nope"])
-    assert code == 2 and "error" in err
+    code, out, err = run(capsys, ["suite", "nope"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown suite 'nope'; choose from ultramean, certificates, interval, "
+        "hahn, distance-axioms, extreme, dichotomy, pra-extreme, keisler, "
+        "projection-graph, invariant\n"
+    )
+
+
+def test_number_where_a_rational_belongs_is_a_usage_error(capsys, work):
+    data = json.loads(open(work["alg"]).read())
+    data["relations"]["mu"]["lambda"] = 1
+    path = work["tmp"] / "int_lambda.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["eval", "mu(x)", "--structure", str(path), "--assign", "x=11"])
+    assert (code, out) == (2, "")
+    assert err == "error: malformed rational 1: not a 'p/q' string\n"
 
 
 def test_report_without_promised_field_is_an_error(capsys, work, monkeypatch):

@@ -7,9 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from affinelogic import definability
 from affinelogic.definability import (
+    AxiomCheck,
     DefinabilityError,
+    DistanceAxiomReport,
     FunctionTable,
     PredicateTable,
+    ProjectionReport,
+    _normalize_set,
+    _tuples,
     automorphism_invariant,
     check_distance_axioms,
     check_graph_identities,
@@ -23,9 +28,10 @@ from affinelogic.definability import (
     lambda_domination,
     predicate_from_formula,
     pushforward,
+    validate_predicate,
     zeroset_recover,
 )
-from affinelogic.model import FiniteStructure, RelationInterp
+from affinelogic.model import FiniteStructure, RelationInterp, neighbour_pairs
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_metric
 from affinelogic.syntax import parse_formula
@@ -208,6 +214,212 @@ def test_inf_over_definable_lipschitz_matches_all_pairs(case):
     else:
         with pytest.raises(DefinabilityError, match="Lipschitz"):
             inf_over_definable(M, {(0, 0)}, P, lam)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the int-numerator distance path: distance_predicate,
+# check_distance_axioms with _approach_refutation, and inf_over_definable as
+# they were before the metric became int numerators over one denominator.
+# Bodies verbatim; only the names of the functions and of their calls to
+# each other carry a _ref_ prefix.
+
+
+def _ref_distance_predicate(M, D, n=None):
+    tuples, n = _normalize_set(D, n)
+    if not tuples:
+        top = F(n) * M.diameter()
+        return PredicateTable(n, {a: top for a in _tuples(M, n)})
+    values = {
+        a: min(M.tuple_distance(a, b) for b in tuples) for a in _tuples(M, n)
+    }
+    return PredicateTable(n, values)
+
+
+def _ref_check_distance_axioms(M, P):
+    validate_predicate(M, P)
+    tuples = _tuples(M, P.arity)
+
+    nonneg = AxiomCheck(True)
+    for a in tuples:
+        if P.values[a] < 0:
+            nonneg = AxiomCheck(False, (a,))
+            break
+
+    nonexp = AxiomCheck(True)
+    for a, b, x, y in neighbour_pairs(M.size, P.arity):
+        diff = P.values[a] - P.values[b]
+        if abs(diff) > M.metric[x][y]:
+            nonexp = AxiomCheck(False, (a, b) if diff > 0 else (b, a))
+            break
+
+    approach = AxiomCheck(True)
+    for a in tuples:
+        farkas = _ref_approach_refutation(M, P, a, tuples)
+        if farkas is not None:
+            approach = AxiomCheck(False, (a, farkas))
+            break
+
+    return DistanceAxiomReport(nonneg, nonexp, approach)
+
+
+def _ref_approach_refutation(M, P, a, tuples):
+    pa = P.values[a]
+    gaps = []
+    lo, hi = ZERO, ONE
+    for y in tuples:
+        f = -P.values[y]
+        g = pa - M.tuple_distance(a, y)
+        h = g - f
+        if h > 0:
+            hi = min(hi, -f / h)
+        elif h < 0:
+            lo = max(lo, -f / h)
+        elif f >= 0:
+            return None
+        if lo >= hi:
+            return None
+        gaps.append((f, g))
+    s = (lo + hi) / 2
+    if max((1 - s) * f + s * g for f, g in gaps) >= 0:
+        raise DefinabilityError(f"approachability refutation at {a} does not refute")
+    return 1 - s, s
+
+
+def _ref_inf_over_definable(M, D, P, lam, n=None):
+    lam = F(lam)
+    if lam < 0:
+        raise DefinabilityError("lam must be nonnegative")
+    tuples_D, n = _normalize_set(D, n)
+    if not tuples_D:
+        raise DefinabilityError("D must be nonempty")
+    validate_predicate(M, P)
+    m = P.arity - n
+    if m < 0:
+        raise DefinabilityError("P arity must be at least the set arity")
+    xs = _tuples(M, m)
+    ys = _tuples(M, n)
+    pairs = list(neighbour_pairs(M.size, n))
+    for x in xs:
+        for y1, y2, u, v in pairs:
+            if abs(P.values[x + y1] - P.values[x + y2]) > lam * M.metric[u][v]:
+                raise DefinabilityError(
+                    f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
+                )
+    dist = _ref_distance_predicate(M, tuples_D, n)
+    q = {x: min(P.values[x + b] for b in tuples_D) for x in xs}
+    identity = all(
+        min(P.values[x + z] + lam * dist.values[z] for z in ys) == q[x] for x in xs
+    )
+    return ProjectionReport(PredicateTable(m, q), identity, lam)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DefinabilityError as exc:
+        return f"DefinabilityError: {exc}"
+
+
+# Values with denominators 7 and 9 (coprime to the metric grid's 4),
+# integers, and signed sixths; the metric spaces have 1 to 4 points.
+_VALUES = st.one_of(
+    st.integers(-2, 3).map(F),
+    st.builds(F, st.integers(-9, 18), st.sampled_from([7, 9])),
+    _SIGNED,
+)
+
+
+def _any_metric_space(draw):
+    m = draw(st.integers(1, 4))
+    metric = random_metric(draw(st.randoms(use_true_random=False)), m)
+    return FiniteStructure(tuple(f"e{i}" for i in range(m)), metric, {}, {}, {})
+
+
+@st.composite
+def _distance_cases(draw):
+    """A metric space, an arity 0-2 and a subset of its tuples, maybe empty."""
+    M = _any_metric_space(draw)
+    n = draw(st.integers(0, 2))
+    tuples = list(itertools.product(range(M.size), repeat=n))
+    return M, draw(st.sets(st.sampled_from(tuples))), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distance_cases())
+def test_distance_predicate_matches_fraction_reference(case):
+    M, D, n = case
+    new, ref = distance_predicate(M, D, n), _ref_distance_predicate(M, D, n)
+    assert new == ref
+    assert list(new.values) == list(ref.values)
+    assert all(type(v) is F for v in new.values.values())
+
+
+@st.composite
+def _predicate_cases(draw):
+    """Arity 0-2 predicates: distance tables shifted by a drawn value, or
+    tables of drawn values, with entries overwritten by drawn values or by
+    ties g(y) = f(y), that is P(y) = d(a, y) - P(a), at some point a."""
+    M = _any_metric_space(draw)
+    n = draw(st.integers(0, 2))
+    tuples = list(itertools.product(range(M.size), repeat=n))
+    if draw(st.booleans()):
+        D = draw(st.sets(st.sampled_from(tuples), min_size=1))
+        shift = draw(st.one_of(st.just(ZERO), _VALUES))
+        values = {a: v + shift for a, v in distance_predicate(M, D).values.items()}
+    else:
+        values = {a: draw(_VALUES) for a in tuples}
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.sampled_from(tuples))
+        if draw(st.booleans()):
+            values[y] = draw(_VALUES)
+        else:
+            a = draw(st.sampled_from(tuples))
+            values[y] = M.tuple_distance(a, y) - values[a]
+    return M, PredicateTable(n, values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_predicate_cases())
+def test_distance_axioms_match_fraction_reference(case):
+    M, P = case
+    new = _outcome(check_distance_axioms, M, P)
+    assert new == _outcome(_ref_check_distance_axioms, M, P)
+    if not isinstance(new, str) and not new.approachable.ok:
+        _, farkas = new.approachable.witness
+        assert all(type(r) is F for r in farkas)
+
+
+@st.composite
+def _projection_cases(draw):
+    """P over head + n coordinates (head 0-1, n 0-2): drawn values, or a
+    per-head offset plus t * distance to a set, which is t-Lipschitz in the
+    trailing block; lam from integers, halves, sevenths and ninths."""
+    M = _any_metric_space(draw)
+    head, n = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    ys = list(itertools.product(range(M.size), repeat=n))
+    xs = list(itertools.product(range(M.size), repeat=head))
+    if draw(st.booleans()):
+        dist = distance_predicate(M, draw(st.sets(st.sampled_from(ys), min_size=1)), n)
+        t = draw(st.sampled_from([ZERO, F(1, 2), ONE, F(9, 7)]))
+        values = {}
+        for x in xs:
+            c = draw(_VALUES)
+            values.update({x + y: c + t * dist.values[y] for y in ys})
+    else:
+        values = {x + y: draw(_VALUES) for x in xs for y in ys}
+    lam = draw(st.sampled_from([ZERO, F(1, 2), ONE, F(2), F(2, 7), F(13, 9), F(4)]))
+    D = draw(st.sets(st.sampled_from(ys), min_size=1))
+    return M, D, PredicateTable(head + n, values), lam, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_cases())
+def test_inf_over_definable_matches_fraction_reference(case):
+    M, D, P, lam, n = case
+    new = _outcome(inf_over_definable, M, D, P, lam, n)
+    assert new == _outcome(_ref_inf_over_definable, M, D, P, lam, n)
+    if not isinstance(new, str):
+        assert all(type(v) is F for v in new.table.values.values())
 
 
 # ---------------------------------------------------------------------------

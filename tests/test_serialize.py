@@ -39,6 +39,9 @@ def test_rational_formatting():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("a/b")
+    for value in (1, 0.5, None, [1, 2]):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(value)
 
 
 def _parse_rational_reference(text):
