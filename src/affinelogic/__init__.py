@@ -9,9 +9,11 @@ certificates, distance predicates and definability checks, and finite
 probability algebras.
 """
 
+from .errors import AffineLogicError, FormatError, InternalError
 from .linalg import LinalgError, affine_factor, affinely_independent, gauss_solve
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinprogError, solve_standard
 from .mean import (
+    MeanError,
     MeanStructure,
     Ultracharge,
     build_ultramean,
@@ -20,9 +22,11 @@ from .mean import (
     powermean,
 )
 from .model import (
+    EvalError,
     FiniteStructure,
     FunctionInterp,
     RelationInterp,
+    StructureError,
     automorphisms,
     eval_condition,
     eval_formula,
@@ -30,6 +34,7 @@ from .model import (
     validate_structure,
 )
 from .definability import (
+    DefinabilityError,
     FunctionTable,
     PredicateTable,
     automorphism_invariant,
@@ -49,6 +54,7 @@ from .definability import (
 )
 from .pra import (
     AdditiveFunction,
+    AlgebraError,
     MeasureAlgebra,
     build_algebra,
     check_algebra_axioms,
@@ -65,10 +71,12 @@ from .syntax import (
     Condition,
     Const,
     Formula,
+    FormulaError,
     Func,
     Inf,
     LipschitzCertificate,
     One,
+    ParseError,
     Scale,
     Signature,
     Sum,
@@ -87,8 +95,11 @@ from .syntax import (
 )
 from .typespace import (
     BoundaryMeasure,
+    DecompositionError,
     FormulaFamily,
+    NonUniqueDecompositionError,
     TypeHull,
+    TypespaceError,
     TypeVector,
     affine_satisfiable,
     barycenter,

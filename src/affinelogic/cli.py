@@ -2,8 +2,12 @@
 
 Exit codes: 0 for success or a check that comes back true, 1 for a check
 that comes back false (the witness is in the report), 2 for usage errors,
-unreadable files, or validation failures.  With --json the report is a
-machine-readable object whose rationals are exact "p/q" strings.
+unreadable or malformed files, or validation failures, and 3 for an
+internal error: a result of the package that failed its own re-check,
+which is a bug.  Each error class carries its exit code and the label
+printed before its message (see `affinelogic.errors`).  With --json the
+report is a machine-readable object whose rationals are exact "p/q"
+strings.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from .definability import (
-    DefinabilityError,
     automorphism_invariant,
     check_distance_axioms,
     inf_over_definable,
@@ -25,18 +28,11 @@ from .definability import (
     lambda_domination,
     zeroset_recover,
 )
-from .mean import MeanError, Ultracharge, build_ultramean, check_ultramean_identity
-from .model import (
-    EvalError,
-    FiniteStructure,
-    StructureError,
-    automorphisms,
-    eval_formula,
-    validate_structure,
-)
+from .errors import AffineLogicError
+from .mean import Ultracharge, build_ultramean, check_ultramean_identity
+from .model import FiniteStructure, automorphisms, eval_formula, validate_structure
 from .pra import (
     AdditiveFunction,
-    AlgebraError,
     MeasureAlgebra,
     build_algebra,
     dcl,
@@ -46,21 +42,11 @@ from .pra import (
     pra_definable_check,
 )
 from .rationals import format_rational, parse_rational
-from .serialize import (
-    FormatError,
-    load_family,
-    load_function_table,
-    load_predicate,
-    load_structure,
-    save_structure,
-)
+from .serialize import load_family, load_function_table, load_predicate, load_structure, save_structure
 from .suites import SUITES, run_suites
-from .syntax import FormulaError, Signature, certificate, free_vars, parse_condition, parse_formula, render
+from .syntax import Signature, certificate, free_vars, parse_condition, parse_formula, render
 from .typespace import (
     BoundaryMeasure,
-    DecompositionError,
-    NonUniqueDecompositionError,
-    TypespaceError,
     TypeVector,
     affine_satisfiable,
     barycenter,
@@ -73,12 +59,11 @@ from .typespace import (
     type_hull,
 )
 
-USAGE_ERROR = 2
 CHECK_FALSE = 1
 OK = 0
 
 
-class CliError(Exception):
+class CliError(AffineLogicError):
     """Usage-level problem: bad flag combination, unparsable argument; or a
     report without the field its verdict promises."""
 
@@ -173,7 +158,7 @@ def _fmt(value: Fraction) -> str:
 
 
 def _emit(args, report: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -424,7 +409,11 @@ def _measure_arg(text: str) -> dict[int, Fraction]:
         if "=" not in pair:
             raise CliError(f"--weights expects INDEX=p/q, got {pair!r}")
         idx, w = pair.split("=", 1)
-        weights[int(idx)] = parse_rational(w)
+        try:
+            index = int(idx)
+        except ValueError:
+            raise CliError(f"--weights index {idx.strip()!r} is not an integer") from None
+        weights[index] = parse_rational(w)
     return weights
 
 
@@ -494,11 +483,12 @@ def cmd_def_distance_axioms(args) -> int:
 def cmd_def_recover(args) -> int:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
-    try:
-        zero = zeroset_recover(M, P)
-    except DefinabilityError as exc:
-        _emit(args, {"recovered": None, "error": str(exc)}, [f"refused: {exc}"])
+    axioms = check_distance_axioms(M, P)
+    if not axioms.ok:
+        reason = f"distance axioms fail, refusing to recover: {axioms}"
+        _emit(args, {"recovered": None, "error": reason}, [f"refused: {reason}"])
         return CHECK_FALSE
+    zero = zeroset_recover(M, P)
     tuples = sorted(zero)
     payload = {"zero_set": [[M.elements[i] for i in a] for a in tuples]}
     lines = ["zero set: " + " ".join(_labels(M, a) for a in tuples)]
@@ -751,9 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Affine continuous logic over finite metric structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every command takes
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true", help="machine-readable report")
 
-    def common(p, structure=False, family=False, cap=False):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
+    def command(group, name, func, summary, structure=False, family=False, cap=False):
+        p = group.add_parser(name, help=summary, parents=[shared])
+        p.set_defaults(func=func)
         if structure:
             p.add_argument("--structure", required=True, help="structure JSON file")
         if family:
@@ -761,179 +755,114 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--vars", help="comma-separated family variables")
         if cap:
             p.add_argument("--cap", type=int, default=4096, help="size cap")
+        return p
 
-    p = sub.add_parser("parse", help="parse and re-render a formula")
+    p = command(sub, "parse", cmd_parse, "parse and re-render a formula")
     p.add_argument("formula")
     p.add_argument("--structure", help="take the signature from this structure")
-    common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("cert", help="Lipschitz certificate of a formula")
+    p = command(sub, "cert", cmd_cert, "Lipschitz certificate of a formula")
     p.add_argument("formula")
     p.add_argument("--structure", help="take the signature from this structure")
-    common(p)
-    p.set_defaults(func=cmd_cert)
-
-    p = sub.add_parser("eval", help="evaluate a formula in a structure")
+    p = command(sub, "eval", cmd_eval, "evaluate a formula in a structure", structure=True)
     p.add_argument("formula")
-    common(p, structure=True)
     p.add_argument("--assign", action="append", help="NAME=ELEMENT", default=[])
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("automorphisms", help="list the automorphism group")
-    common(p, structure=True)
-    p.set_defaults(func=cmd_automorphisms)
+    command(sub, "automorphisms", cmd_automorphisms, "list the automorphism group", structure=True)
 
     um = sub.add_parser("ultramean", help="measure-weighted products").add_subparsers(
         dest="subcommand", required=True
     )
-    p = um.add_parser("build", help="build the quotient structure")
+    p = command(um, "build", cmd_ultramean_build, "build the quotient structure", cap=True)
     p.add_argument("--structure", action="append", required=True)
     p.add_argument("--mu", required=True, help="comma-separated weights")
     p.add_argument("--out", help="write the quotient structure here")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=4096)
-    p.set_defaults(func=cmd_ultramean_build)
-    p = um.add_parser("verify", help="check the mean identity for a formula")
+    p = command(um, "verify", cmd_ultramean_verify, "check the mean identity for a formula")
     p.add_argument("formula")
     p.add_argument("--structure", action="append", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--assign", action="append", default=[], help="NAME=i,j,... per factor")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_ultramean_verify)
 
     ty = sub.add_parser("types", help="type hulls and faces").add_subparsers(
         dest="subcommand", required=True
     )
-    p = ty.add_parser("hull", help="realized type vectors")
-    common(p, structure=True, family=True, cap=True)
-    p.set_defaults(func=cmd_types_hull)
-    p = ty.add_parser("extreme", help="extreme points with certificates")
-    common(p, structure=True, family=True, cap=True)
-    p.set_defaults(func=cmd_types_extreme)
-    p = ty.add_parser("face", help="exposed face of an affine functional")
-    common(p, structure=True, family=True, cap=True)
+    hull = {"structure": True, "family": True, "cap": True}
+    command(ty, "hull", cmd_types_hull, "realized type vectors", **hull)
+    command(ty, "extreme", cmd_types_extreme, "extreme points with certificates", **hull)
+    p = command(ty, "face", cmd_types_face, "exposed face of an affine functional", **hull)
     p.add_argument("--predicate", required=True, help="predicate table JSON")
     p.add_argument("--max", action="store_true", help="maximize instead of minimize")
-    p.set_defaults(func=cmd_types_face)
-    p = ty.add_parser("facial", help="does a condition set cut a face?")
-    common(p, structure=True, family=True, cap=True)
+    p = command(ty, "facial", cmd_types_facial, "does a condition set cut a face?", **hull)
     p.add_argument("--condition", action="append", required=True)
-    p.set_defaults(func=cmd_types_facial)
-    p = ty.add_parser("satisfiable", help="affine satisfiability dichotomy")
-    common(p, structure=True, cap=True)
+    p = command(ty, "satisfiable", cmd_types_satisfiable, "affine satisfiability dichotomy",
+                structure=True, cap=True)
     p.add_argument("--condition", action="append", required=True)
     p.add_argument("--vars", help="comma-separated variables")
-    p.set_defaults(func=cmd_types_satisfiable)
-    p = ty.add_parser("barycenter", help="mix extreme vertices by a measure")
-    common(p, structure=True, family=True, cap=True)
+    p = command(ty, "barycenter", cmd_types_barycenter, "mix extreme vertices by a measure", **hull)
     p.add_argument("--weights", required=True, help="INDEX=p/q, comma-separated")
-    p.set_defaults(func=cmd_types_barycenter)
-    p = ty.add_parser("keisler", help="decompose a type over the extreme boundary")
-    common(p, structure=True, family=True, cap=True)
+    p = command(ty, "keisler", cmd_types_keisler, "decompose a type over the extreme boundary",
+                **hull)
     p.add_argument("--point", help="realize the type at this tuple")
     p.add_argument("--values", help="type vector, comma-separated rationals")
-    p.set_defaults(func=cmd_types_keisler)
-    p = ty.add_parser("distance", help="transport distance between realized types")
-    common(p, structure=True, family=True, cap=True)
+    p = command(ty, "distance", cmd_types_distance, "transport distance between realized types",
+                **hull)
     p.add_argument("--left", required=True, help="tuple, comma-separated")
     p.add_argument("--right", required=True, help="tuple, comma-separated")
-    p.set_defaults(func=cmd_types_distance)
 
     dc = sub.add_parser("defcheck", help="definability checks").add_subparsers(
         dest="subcommand", required=True
     )
-    p = dc.add_parser("distance-axioms", help="distance-predicate axioms")
-    common(p, structure=True)
+    p = command(dc, "distance-axioms", cmd_def_distance_axioms, "distance-predicate axioms",
+                structure=True)
     p.add_argument("--predicate", required=True)
-    p.set_defaults(func=cmd_def_distance_axioms)
-    p = dc.add_parser("recover", help="zero set of a distance predicate")
-    common(p, structure=True)
+    p = command(dc, "recover", cmd_def_recover, "zero set of a distance predicate", structure=True)
     p.add_argument("--predicate", required=True)
-    p.set_defaults(func=cmd_def_recover)
-    p = dc.add_parser("domination", help="least lam with Q <= lam*P + eps")
-    common(p, structure=True)
+    p = command(dc, "domination", cmd_def_domination, "least lam with Q <= lam*P + eps",
+                structure=True)
     p.add_argument("--lower", required=True, help="P table JSON")
     p.add_argument("--upper", required=True, help="Q table JSON")
     p.add_argument("--eps", default="0", help="slack rational")
-    p.set_defaults(func=cmd_def_domination)
-    p = dc.add_parser("predicate", help="affine factoring through a family")
-    common(p, structure=True, family=True)
+    p = command(dc, "predicate", cmd_def_predicate, "affine factoring through a family",
+                structure=True, family=True)
     p.add_argument("--predicate", required=True)
-    p.set_defaults(func=cmd_def_predicate)
-    p = dc.add_parser("set", help="definability of a tuple set")
-    common(p, structure=True, family=True)
+    p = command(dc, "set", cmd_def_set, "definability of a tuple set", structure=True, family=True)
     p.add_argument("--set", required=True, help="tuples 'a,b;c,d'")
-    p.set_defaults(func=cmd_def_set)
-    p = dc.add_parser("project", help="inf of P over D with the penalty identity")
-    common(p, structure=True)
+    p = command(dc, "project", cmd_def_project, "inf of P over D with the penalty identity",
+                structure=True)
     p.add_argument("--predicate", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--lam", required=True)
-    p.set_defaults(func=cmd_def_project)
-    p = dc.add_parser("invariant-type", help="pushforward-fixed type of a unary map")
-    common(p, structure=True, family=True)
+    p = command(dc, "invariant-type", cmd_def_invariant_type,
+                "pushforward-fixed type of a unary map", structure=True, family=True)
     p.add_argument("--function", required=True, help="function table JSON")
-    p.set_defaults(func=cmd_def_invariant_type)
-    p = dc.add_parser("auto-invariant", help="automorphism invariance of a table")
-    common(p, structure=True)
+    p = command(dc, "auto-invariant", cmd_def_auto_invariant,
+                "automorphism invariance of a table", structure=True)
     p.add_argument("--predicate", required=True)
-    p.set_defaults(func=cmd_def_auto_invariant)
 
     pa = sub.add_parser("pra", help="probability algebras").add_subparsers(
         dest="subcommand", required=True
     )
-    p = pa.add_parser("build", help="build and validate an algebra")
+    p = command(pa, "build", cmd_pra_build, "build and validate an algebra")
     p.add_argument("--atoms", required=True, help="positive weights summing to 1")
     p.add_argument("--out", help="write the exported structure here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pra_build)
-    p = pa.add_parser("interval", help="distance to an order interval")
+    p = command(pa, "interval", cmd_pra_interval, "distance to an order interval")
     p.add_argument("--atoms", required=True)
     p.add_argument("-x", required=True, help="element (bitmask label or index)")
     p.add_argument("-a", required=True)
     p.add_argument("-b", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pra_interval)
-    p = pa.add_parser("hahn", help="max-set of an additive function")
+    p = command(pa, "hahn", cmd_pra_hahn, "max-set of an additive function")
     p.add_argument("--atoms", required=True)
     p.add_argument("--values", required=True, help="one rational per atom")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pra_hahn)
-    p = pa.add_parser("dcl", help="generated subalgebra")
+    p = command(pa, "dcl", cmd_pra_dcl, "generated subalgebra")
     p.add_argument("--atoms", required=True)
     p.add_argument("--elements", required=True, help="labels 'lab;lab'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pra_dcl)
-    p = pa.add_parser("definable", help="interval criterion for a subset")
+    p = command(pa, "definable", cmd_pra_definable, "interval criterion for a subset")
     p.add_argument("--atoms", required=True)
     p.add_argument("--elements", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pra_definable)
 
-    p = sub.add_parser("suite", help="run the randomized check suites")
+    p = command(sub, "suite", cmd_suite, "run the randomized check suites")
     p.add_argument("names", nargs="*", help=f"subset of: {', '.join(SUITES)}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_suite)
 
     return parser
-
-
-_USER_ERRORS = (
-    CliError,
-    FormatError,
-    FormulaError,
-    StructureError,
-    EvalError,
-    MeanError,
-    TypespaceError,
-    DefinabilityError,
-    AlgebraError,
-    OSError,
-    KeyError,
-    ValueError,
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -941,22 +870,20 @@ def main(argv: list[str] | None = None) -> int:
 
     The parser comes from `build_parser`, built on the first call in a
     process and reused by every later one.  Errors map to exit codes by
-    type alone: a point with no boundary decomposition exits 1, a family
-    that does not separate the extreme vertices and every other user error
-    exit 2.
+    type alone, through the `exit_code` and `label` of their class (see
+    `affinelogic.errors`): one line `label: message` goes to stderr.  A
+    point with no boundary decomposition exits 1; bad input, such as a
+    malformed file or a family that does not separate the extreme
+    vertices, and an unreadable file (OSError) exit 2; a result that
+    failed its own re-check exits 3.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonUniqueDecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except DecompositionError as exc:
-        print(f"no decomposition: {exc}", file=sys.stderr)
-        return CHECK_FALSE
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (AffineLogicError, OSError) as exc:
+        label = getattr(exc, "label", AffineLogicError.label)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", AffineLogicError.exit_code)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
+from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, automorphisms, eval_table, int_metric, neighbour_pairs
 from .typespace import FormulaFamily, TypeVector, factor_table_through_family
 
@@ -22,8 +23,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class DefinabilityError(ValueError):
+class DefinabilityError(AffineLogicError, ValueError):
     pass
+
+
+class _Internal(InternalError, DefinabilityError):
+    """A re-check of this module's own result failed."""
 
 
 @dataclass
@@ -255,7 +260,7 @@ def _approach_refutation(
             return None
     sn, sd = ln * hd + hn * ld, 2 * ld * hd
     if any((sn - sd) * py + sn * (pa - dy) >= 0 for py, dy in zip(p, dist)):
-        raise DefinabilityError(f"approachability refutation at {a} does not refute")
+        raise _Internal(f"approachability refutation at {a} does not refute")
     return Fraction(sd - sn, sd), Fraction(sn, sd)
 
 
@@ -271,7 +276,7 @@ def zeroset_recover(M: FiniteStructure, P: PredicateTable) -> frozenset[tuple[in
     zero = frozenset(a for a, v in P.values.items() if v == 0)
     back = distance_predicate(M, zero, P.arity)
     if back.values != P.values:
-        raise DefinabilityError("recovered set does not reproduce the predicate")
+        raise _Internal("recovered set does not reproduce the predicate")
     return zero
 
 
@@ -318,7 +323,7 @@ def lambda_domination(
                 lam = need
     for a in P.values:
         if Q.values[a] > lam * P.values[a] + eps:
-            raise DefinabilityError(f"domination bound {lam} fails at {a}")
+            raise _Internal(f"domination bound {lam} fails at {a}")
     return DominationResult(True, lam=lam)
 
 
@@ -361,7 +366,7 @@ def is_definable_predicate(
     res = factor_table_through_family(M, P.values, family)
     if res.ok:
         if res.offset is None or res.coeffs is None:
-            raise DefinabilityError("affine factorisation reported no coefficients")
+            raise _Internal("affine factorisation reported no coefficients")
         return DefinabilityReport(
             True, witness=AffineWitness(res.offset, res.coeffs, family)
         )

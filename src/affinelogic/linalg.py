@@ -14,11 +14,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Sequence
 
+from .errors import InternalError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class LinalgError(RuntimeError):
+class LinalgError(InternalError):
     """A solve returned an outcome without the part its status promises."""
 
 

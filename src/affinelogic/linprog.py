@@ -26,6 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+from .errors import InternalError
 from .linalg import int_row, pivot, reduce_row
 
 ZERO = Fraction(0)
@@ -35,7 +36,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class LinprogError(RuntimeError):
+class LinprogError(InternalError):
     """The simplex produced an outcome that fails its own certificate check."""
 
 

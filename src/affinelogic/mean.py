@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import AffineLogicError
 from .linalg import int_row
 from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula
 from .syntax import Formula, free_vars
@@ -23,7 +24,7 @@ ZERO = Fraction(0)
 DEFAULT_CAP = 4096
 
 
-class MeanError(ValueError):
+class MeanError(AffineLogicError, ValueError):
     pass
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .errors import AffineLogicError
 from .linalg import int_row
 from .syntax import (
     METRIC,
@@ -44,11 +45,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class StructureError(ValueError):
+class StructureError(AffineLogicError, ValueError):
     """Malformed structure data (shape problems, missing table entries)."""
 
 
-class EvalError(ValueError):
+class EvalError(AffineLogicError, ValueError):
     """Evaluation failed: unbound variable or uninterpreted symbol."""
 
 

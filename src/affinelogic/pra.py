@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, FunctionInterp, RelationInterp
 
 ZERO = Fraction(0)
@@ -22,8 +23,12 @@ ONE = Fraction(1)
 DEFAULT_ATOM_CAP = 10
 
 
-class AlgebraError(ValueError):
+class AlgebraError(AffineLogicError, ValueError):
     pass
+
+
+class _Internal(InternalError, AlgebraError):
+    """A re-check of this module's own result failed."""
 
 
 @dataclass
@@ -287,7 +292,7 @@ def pra_definable_check(A: MeasureAlgebra, D: Iterable[int]) -> PraDefinableRepo
     for x in A.elements():
         direct = min(A.distance(x, y) for y in interval)
         if direct != interval_distance(A, x, lo, hi):
-            raise AlgebraError(
+            raise _Internal(
                 f"interval distance formula disagrees with the minimum at {x}"
             )
     return PraDefinableReport(True, lo, hi, cross_checked=True)

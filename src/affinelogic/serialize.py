@@ -4,15 +4,20 @@ Structure files carry elements, a row-major metric, constants, and
 function/relation tables keyed by comma-joined element indices.  Family
 files are plain text, one formula per line.  Algebra files list atom
 weights.  Nothing here ever goes through floating point.
+
+Every decoder raises FormatError for input it cannot decode, whatever
+went wrong inside it (see `_decodes`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .definability import FunctionTable, PredicateTable
+from .errors import AffineLogicError, FormatError
 from .model import FiniteStructure, FunctionInterp, RelationInterp, validate_structure
 from .pra import MeasureAlgebra, build_algebra
 from .rationals import format_rational, parse_rational
@@ -20,8 +25,27 @@ from .syntax import Formula, Signature, SymbolInfo, parse_formula
 from .typespace import FormulaFamily
 
 
-class FormatError(ValueError):
-    pass
+def _decodes(what: str):
+    """Decorator for a decoder of `what`: the errors that malformed JSON
+    raises inside it, such as a missing key or a null where a table
+    belongs, become one FormatError.  The package's own errors, such as a
+    FormatError naming the bad value, pass through unchanged."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def decode(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except AffineLogicError:
+                raise
+            except KeyError as exc:
+                raise FormatError(f"malformed {what}: missing field {exc}") from exc
+            except (TypeError, AttributeError, ValueError) as exc:
+                raise FormatError(f"malformed {what}: {exc}") from exc
+
+        return decode
+
+    return wrap
 
 
 def _key_of(args: Sequence[int]) -> str:
@@ -53,6 +77,7 @@ def signature_to_dict(sig: Signature) -> dict:
     }
 
 
+@_decodes("signature")
 def signature_from_dict(data: Mapping) -> Signature:
     return Signature(
         frozenset(data.get("constants", [])),
@@ -97,16 +122,15 @@ def structure_to_dict(M: FiniteStructure) -> dict:
     }
 
 
+@_decodes("structure")
 def structure_from_dict(data: Mapping) -> FiniteStructure:
     """Decode and validate a structure; an invalid one raises FormatError
     naming the failed check (see `validate_structure`) and its witness."""
-    try:
-        elements = tuple(str(e) for e in data["elements"])
-        metric = tuple(
-            tuple(parse_rational(d) for d in row) for row in data["metric"]
-        )
-    except KeyError as exc:
-        raise FormatError(f"structure file missing field {exc}") from None
+    labels = data["elements"]
+    if not isinstance(labels, list) or not all(isinstance(e, str) for e in labels):
+        raise FormatError("structure elements must be a list of string labels")
+    elements = tuple(labels)
+    metric = tuple(tuple(parse_rational(d) for d in row) for row in data["metric"])
     index = {label: i for i, label in enumerate(elements)}
 
     def elem(ref) -> int:
@@ -145,6 +169,7 @@ def save_structure(M: FiniteStructure, path: str) -> None:
         fh.write("\n")
 
 
+@_decodes("structure")
 def load_structure(path: str) -> FiniteStructure:
     with open(path) as fh:
         return structure_from_dict(json.load(fh))
@@ -154,6 +179,7 @@ def load_structure(path: str) -> FiniteStructure:
 # families (one formula per line)
 
 
+@_decodes("family file")
 def load_family(
     path: str, sig: Signature, variables: Sequence[str] | None = None
 ) -> FormulaFamily:
@@ -196,6 +222,7 @@ def predicate_to_dict(P: PredicateTable) -> dict:
     }
 
 
+@_decodes("predicate table")
 def predicate_from_dict(data: Mapping) -> PredicateTable:
     arity = int(data["arity"])
     values = {
@@ -213,6 +240,7 @@ def function_table_to_dict(f: FunctionTable) -> dict:
     }
 
 
+@_decodes("function table")
 def function_table_from_dict(data: Mapping) -> FunctionTable:
     arity_in = int(data["arity_in"])
     arity_out = int(data["arity_out"])
@@ -225,6 +253,7 @@ def function_table_from_dict(data: Mapping) -> FunctionTable:
     return FunctionTable(arity_in, arity_out, parse_rational(data["lambda"]), table)
 
 
+@_decodes("predicate table")
 def load_predicate(path: str) -> PredicateTable:
     with open(path) as fh:
         return predicate_from_dict(json.load(fh))
@@ -236,6 +265,7 @@ def save_predicate(P: PredicateTable, path: str) -> None:
         fh.write("\n")
 
 
+@_decodes("function table")
 def load_function_table(path: str) -> FunctionTable:
     with open(path) as fh:
         return function_table_from_dict(json.load(fh))
@@ -255,10 +285,12 @@ def algebra_to_dict(A: MeasureAlgebra) -> dict:
     return {"atoms": [format_rational(w) for w in A.weights]}
 
 
+@_decodes("algebra")
 def algebra_from_dict(data: Mapping) -> MeasureAlgebra:
     return build_algebra([parse_rational(w) for w in data["atoms"]])
 
 
+@_decodes("algebra")
 def load_algebra(path: str) -> MeasureAlgebra:
     with open(path) as fh:
         return algebra_from_dict(json.load(fh))
@@ -282,6 +314,7 @@ def witness_to_dict(witness: Mapping[tuple[int, ...], Fraction]) -> dict:
     }
 
 
+@_decodes("witness")
 def witness_from_dict(data: Mapping) -> dict[tuple[int, ...], Fraction]:
     arity = int(data["arity"])
     return {
@@ -289,6 +322,7 @@ def witness_from_dict(data: Mapping) -> dict[tuple[int, ...], Fraction]:
     }
 
 
+@_decodes("witness")
 def load_witness(path: str) -> dict[tuple[int, ...], Fraction]:
     with open(path) as fh:
         return witness_from_dict(json.load(fh))

@@ -26,6 +26,7 @@ from .definability import (
     pushforward,
     zeroset_recover,
 )
+from .errors import AffineLogicError
 from .linalg import gauss_solve
 from .mean import Ultracharge, check_ultramean_identity
 from .model import FiniteStructure, eval_table
@@ -611,6 +612,6 @@ def run_suites(names: Sequence[str] | None = None, seed: int = 0) -> list[SuiteR
     results = []
     for name in picked:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+            raise AffineLogicError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
         results.append(SUITES[name](seed))
     return results

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .errors import AffineLogicError
+
 METRIC = "d"
 QUANTIFIER_KEYWORDS = ("inf", "sup")
 RESERVED = frozenset(QUANTIFIER_KEYWORDS) | {METRIC}
 
 
-class FormulaError(ValueError):
+class FormulaError(AffineLogicError, ValueError):
     """Base class for everything that can go wrong with formula input."""
 
 
@@ -198,7 +200,10 @@ class Signature:
 
 
 def check_formula(phi: Formula, sig: Signature) -> None:
-    """Raise if phi uses undeclared symbols or wrong arities."""
+    """Raise if phi uses undeclared symbols or wrong arities.
+
+    Nodes are visited in order, left before right, with a stack, so a
+    long sum costs no recursion depth."""
 
     def check_term(t: Term) -> None:
         if isinstance(t, Var):
@@ -219,40 +224,37 @@ def check_formula(phi: Formula, sig: Signature) -> None:
         for a in t.args:
             check_term(a)
 
-    if isinstance(phi, One):
-        return
-    if isinstance(phi, Apply):
-        if phi.symbol == METRIC:
-            if len(phi.args) != 2:
-                raise ArityMismatchError("the metric 'd' takes exactly 2 arguments")
-        else:
-            info = sig.relations.get(phi.symbol)
-            if info is None:
-                raise UnknownSymbolError(f"unknown relation symbol {phi.symbol!r}")
-            if len(phi.args) != info.arity:
-                raise ArityMismatchError(
-                    f"relation {phi.symbol!r} expects {info.arity} arguments,"
-                    f" got {len(phi.args)}"
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        elif isinstance(node, Scale):
+            stack.append(node.body)
+        elif isinstance(node, Apply):
+            if node.symbol == METRIC:
+                if len(node.args) != 2:
+                    raise ArityMismatchError("the metric 'd' takes exactly 2 arguments")
+            else:
+                info = sig.relations.get(node.symbol)
+                if info is None:
+                    raise UnknownSymbolError(f"unknown relation symbol {node.symbol!r}")
+                if len(node.args) != info.arity:
+                    raise ArityMismatchError(
+                        f"relation {node.symbol!r} expects {info.arity} arguments,"
+                        f" got {len(node.args)}"
+                    )
+            for t in node.args:
+                check_term(t)
+        elif isinstance(node, (Inf, Sup)):
+            if node.var in RESERVED or node.var in sig.constants or node.var in sig.functions \
+                    or node.var in sig.relations:
+                raise UnknownSymbolError(
+                    f"quantified variable {node.var!r} collides with a declared symbol"
                 )
-        for t in phi.args:
-            check_term(t)
-        return
-    if isinstance(phi, Scale):
-        check_formula(phi.body, sig)
-        return
-    if isinstance(phi, Sum):
-        check_formula(phi.left, sig)
-        check_formula(phi.right, sig)
-        return
-    if isinstance(phi, (Inf, Sup)):
-        if phi.var in RESERVED or phi.var in sig.constants or phi.var in sig.functions \
-                or phi.var in sig.relations:
-            raise UnknownSymbolError(
-                f"quantified variable {phi.var!r} collides with a declared symbol"
-            )
-        check_formula(phi.body, sig)
-        return
-    raise TypeError(f"not a formula: {phi!r}")
+            stack.append(node.body)
+        elif not isinstance(node, One):
+            raise TypeError(f"not a formula: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +466,17 @@ class _Parser:
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse concrete syntax into a Formula, validated against sig."""
+    """Parse concrete syntax into a Formula, validated against sig.
+
+    The parser recurses once per level of nesting (parentheses,
+    quantifiers, scalings); nesting deeper than the interpreter's
+    recursion limit is a ParseError.  Sums are read with a loop, so a long
+    sum nests nothing."""
     parser = _Parser(_tokenize(text), sig)
-    node = parser.formula()
+    try:
+        node = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     end = parser.peek()
     if end.kind != "END":
         raise ParseError(f"unexpected trailing input {end.text!r}", end.pos)
@@ -556,27 +566,33 @@ def _term_slopes(t: Term, sig: Signature) -> dict[str, Fraction]:
 
 
 def _cert(phi: Formula, sig: Signature) -> tuple[Fraction, Fraction]:
-    if isinstance(phi, One):
-        return Fraction(0), Fraction(1)
-    if isinstance(phi, Apply):
-        lam_r = Fraction(1) if phi.symbol == METRIC else sig.relations[phi.symbol].lam
-        per_var: dict[str, Fraction] = {}
-        for t in phi.args:
-            for v, s in _term_slopes(t, sig).items():
-                per_var[v] = per_var.get(v, Fraction(0)) + s
-        worst = max(per_var.values(), default=Fraction(0))
-        return lam_r * worst, Fraction(1)
-    if isinstance(phi, Scale):
-        lam, bound = _cert(phi.body, sig)
-        r = abs(phi.coeff)
-        return r * lam, r * bound
-    if isinstance(phi, Sum):
-        l1, b1 = _cert(phi.left, sig)
-        l2, b2 = _cert(phi.right, sig)
-        return l1 + l2, b1 + b2
-    if isinstance(phi, (Inf, Sup)):
-        return _cert(phi.body, sig)
-    raise TypeError(f"not a formula: {phi!r}")
+    """(lam, bound) of phi: each atom's pair times the product r of the
+    |coefficients| above it, summed over the atoms (a quantifier keeps its
+    body's pair).  The tree is walked with a stack, so a long sum costs no
+    recursion depth."""
+    lam, bound = Fraction(0), Fraction(0)
+    stack = [(phi, Fraction(1))]
+    while stack:
+        node, r = stack.pop()
+        if isinstance(node, Sum):
+            stack += ((node.left, r), (node.right, r))
+        elif isinstance(node, Scale):
+            stack.append((node.body, r * abs(node.coeff)))
+        elif isinstance(node, (Inf, Sup)):
+            stack.append((node.body, r))
+        elif isinstance(node, One):
+            bound += r
+        elif isinstance(node, Apply):
+            lam_r = Fraction(1) if node.symbol == METRIC else sig.relations[node.symbol].lam
+            per_var: dict[str, Fraction] = {}
+            for t in node.args:
+                for v, s in _term_slopes(t, sig).items():
+                    per_var[v] = per_var.get(v, Fraction(0)) + s
+            lam += r * lam_r * max(per_var.values(), default=Fraction(0))
+            bound += r
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return lam, bound
 
 
 def certificate(phi: Formula, sig: Signature) -> LipschitzCertificate:

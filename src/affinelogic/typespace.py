@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
+from .errors import AffineLogicError, InternalError
 from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_standard
 from .model import FiniteStructure, eval_table
 from .syntax import Condition, Formula, free_vars
@@ -30,8 +31,12 @@ ONE = Fraction(1)
 DEFAULT_CAP = 4096
 
 
-class TypespaceError(ValueError):
+class TypespaceError(AffineLogicError, ValueError):
     pass
+
+
+class _Internal(InternalError, TypespaceError):
+    """A re-check of this module's own result failed."""
 
 
 class NotAffineError(TypespaceError):
@@ -45,7 +50,7 @@ class NotAffineError(TypespaceError):
 def _lp_status(res: SimplexResult, *expected: str) -> str:
     """The LP's status, checked to be one this caller's LP can reach."""
     if res.status not in expected:
-        raise TypespaceError(
+        raise _Internal(
             f"LP came back {res.status}, expected {' or '.join(expected)}"
         )
     return res.status
@@ -231,7 +236,7 @@ def _affine_in_family(
     if not factored.ok:
         raise NotAffineError(message, factored.conflict or factored.residue)
     if factored.offset is None or factored.coeffs is None:
-        raise TypespaceError("affine factoring succeeded without coefficients")
+        raise _Internal("affine factoring succeeded without coefficients")
     return factored.offset, factored.coeffs
 
 
@@ -325,8 +330,14 @@ def exposed_face(
     The table must be an affine function of the family values (otherwise a
     NotAffineError carries the failure certificate).  Returns the vertices
     attaining the minimum (or maximum), or flags the whole hull when the
-    induced functional is constant on it.
+    induced functional is constant on it.  The table must cover every
+    tuple of the family's arity.
     """
+    n = hull.family.arity
+    if set(table) != set(itertools.product(range(hull.structure.size), repeat=n)):
+        raise TypespaceError(
+            f"predicate table must cover all {hull.structure.size ** n} tuples of arity {n}"
+        )
     c0, cs = _affine_in_family(
         hull, table, "predicate does not factor affinely through the family"
     )
@@ -586,10 +597,16 @@ def barycenter(hull: TypeHull, measure: BoundaryMeasure) -> TypeVector:
 class DecompositionError(TypespaceError):
     """keisler_decompose cannot certify a boundary measure for the point."""
 
+    exit_code = 1
+    label = "no decomposition"
+
 
 class NonUniqueDecompositionError(DecompositionError):
     """The extreme vertices are affinely dependent, so the family does not
     separate them and a decomposition, if any, is not unique."""
+
+    exit_code = 2
+    label = "error"
 
 
 def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
@@ -623,7 +640,7 @@ def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
     if not sol.consistent:
         raise DecompositionError("point lies outside the affine hull of the extremes")
     if sol.x is None:
-        raise TypespaceError("consistent system without a solution")
+        raise _Internal("consistent system without a solution")
     if any(w < 0 for w in sol.x):
         raise DecompositionError("point lies outside the hull of the extremes")
     return BoundaryMeasure({i: w for i, w in zip(idx, sol.x) if w != 0})

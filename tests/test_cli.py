@@ -1,14 +1,28 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from affinelogic import cli
+import affinelogic
+from affinelogic import cli, typespace
 from affinelogic.cli import build_parser, main
 from affinelogic.definability import FunctionTable, PredicateTable, distance_predicate
+from affinelogic.errors import AffineLogicError
+from affinelogic.linprog import UNBOUNDED, LinprogError, SimplexResult
 from affinelogic.model import FiniteStructure, RelationInterp
 from affinelogic.pra import build_algebra
-from affinelogic.serialize import save_function_table, save_predicate, save_structure
+from affinelogic.serialize import (
+    function_table_to_dict,
+    predicate_to_dict,
+    save_function_table,
+    save_predicate,
+    save_structure,
+    structure_to_dict,
+)
 from affinelogic.typespace import SatisfiabilityResult
 
 ZERO = F(0)
@@ -561,3 +575,219 @@ def test_usage_error_then_valid_call(capsys, work):
     assert "--structure" in capsys.readouterr().err
     code, out, err = run(capsys, ["eval", "mu(x)", "--structure", work["alg"], "--assign", "x=11"])
     assert (code, out, err) == (0, "1/1\n", "")
+
+
+# ---------------------------------------------------------------------------
+# one error taxonomy: the class of an error decides its exit code and label
+
+EXIT_CODES = {
+    "AffineLogicError": 2,
+    "FormatError": 2,
+    "FormulaError": 2,
+    "ParseError": 2,
+    "StructureError": 2,
+    "EvalError": 2,
+    "MeanError": 2,
+    "AlgebraError": 2,
+    "TypespaceError": 2,
+    "NonUniqueDecompositionError": 2,
+    "DefinabilityError": 2,
+    "CliError": 2,
+    "DecompositionError": 1,
+    "InternalError": 3,
+    "LinalgError": 3,
+    "LinprogError": 3,
+}
+LABELS = {1: "no decomposition", 2: "error", 3: "internal error"}
+
+
+def test_every_exported_error_carries_its_exit_code():
+    classes = {
+        name: obj for name, obj in vars(affinelogic).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    classes["CliError"] = cli.CliError
+    assert set(classes) == set(EXIT_CODES)
+    for name, cls in classes.items():
+        assert issubclass(cls, AffineLogicError), name
+        assert (cls.exit_code, cls.label) == (EXIT_CODES[name], LABELS[EXIT_CODES[name]]), name
+
+
+def _lp_unbounded(*args):
+    return SimplexResult(UNBOUNDED)
+
+
+def _lp_fails_its_recheck(*args):
+    raise LinprogError("Farkas certificate fails y.A <= 0 < y.b")
+
+
+@pytest.mark.parametrize("solve", [_lp_unbounded, _lp_fails_its_recheck])
+def test_failed_internal_recheck_exits_3(capsys, work, monkeypatch, solve):
+    monkeypatch.setattr(typespace, "solve_standard", solve)
+    code, out, err = run(capsys, [
+        "types", "extreme", "--structure", work["fo"], "--family", work["family_fo"],
+    ])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_weights_index_that_is_not_an_integer_is_a_usage_error(capsys, work):
+    code, out, err = run(capsys, [
+        "types", "barycenter", "--structure", work["fo"], "--family", work["family_fo"],
+        "--weights", "a=1/2",
+    ])
+    assert (code, out, err) == (2, "", "error: --weights index 'a' is not an integer\n")
+
+
+def test_face_predicate_must_cover_the_tuples(capsys, work):
+    partial = str(work["tmp"] / "partial.json")
+    save_predicate(PredicateTable(1, {(0,): ZERO}), partial)
+    for structure, family, predicate, count in (
+        (work["alg"], work["family"], partial, 4),
+        (work["fo"], work["family_fo"], work["mu"], 3),
+    ):
+        code, out, err = run(capsys, [
+            "types", "face", "--structure", structure, "--family", family,
+            "--predicate", predicate,
+        ])
+        assert (code, out) == (2, "")
+        assert err == f"error: predicate table must cover all {count} tuples of arity 1\n"
+
+
+def test_recover_tells_a_refusal_from_a_malformed_table(capsys, work):
+    partial = str(work["tmp"] / "partial.json")
+    save_predicate(PredicateTable(1, {(0,): ZERO}), partial)
+    code, out, err = run(capsys, [
+        "defcheck", "recover", "--structure", work["alg"], "--predicate", partial,
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: predicate table must cover all 4 tuples of arity 1\n"
+    code, out, err = run(capsys, [
+        "defcheck", "recover", "--structure", work["alg"], "--predicate", work["shifted"],
+    ])
+    assert (code, err) == (1, "")
+    assert out.startswith("refused: distance axioms fail, refusing to recover: ")
+
+
+def test_long_sum_and_deep_nesting(capsys):
+    code, out, err = run(capsys, ["cert", " + ".join(["1/2 * d(x, y)"] * 20000)])
+    assert (code, out, err) == (0, "lam = 10000/1\nbound = 10000/1\n", "")
+    code, out, err = run(capsys, ["parse", "(" * 3000 + "1" + ")" * 3000])
+    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed files: exit 2 and one line, whatever is wrong with them
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("metric", lambda d: {**d, "metric": 5}, "malformed structure: "),
+    ("elements", lambda d: {**d, "elements": None}, "structure elements must be"),
+    ("relations", lambda d: {**d, "relations": []}, "malformed structure: "),
+    ("top", lambda d: [1, 2], "malformed structure: "),
+    ("lambda", lambda d: {**d, "relations": {"mu": {k: v for k, v in d["relations"]["mu"].items()
+                                                  if k != "lambda"}}},
+     "malformed structure: missing field 'lambda'"),
+])
+def test_malformed_structure_file(capsys, work, name, broken, message):
+    path = work["tmp"] / f"{name}.json"
+    path.write_text(json.dumps(broken(json.loads(open(work["alg"]).read()))))
+    code, out, err = run(capsys, ["automorphisms", "--structure", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("text", ["[1]", "{", "\udcff"])
+def test_malformed_predicate_file(capsys, work, text):
+    path = work["tmp"] / "bad.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = run(capsys, [
+        "defcheck", "distance-axioms", "--structure", work["alg"], "--predicate", str(path),
+    ])
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: malformed predicate table: ")
+
+
+_ALG = build_algebra([F(1, 2), F(1, 2)]).to_structure()
+_VALID = {
+    "structure": structure_to_dict(_ALG),
+    "predicate": predicate_to_dict(distance_predicate(_ALG, {(0,)})),
+    "function": function_table_to_dict(
+        FunctionTable(1, 1, ONE, {(x,): (x ^ 3,) for x in range(4)})
+    ),
+}
+# Keys the formats require; every key of a "table" or "values" is too.
+# Leaving out an optional key such as "constants" gives a valid file.
+_REQUIRED = {"elements", "metric", "arity", "lambda", "table", "values", "arity_in", "arity_out"}
+# A number, null, a list and a string that are valid nowhere they can
+# land in place of a value of another JSON type.
+_SENTINELS = (-1, None, [], "?")
+
+
+def _paths(value, path=()):
+    """The path of every node of a JSON tree, the root's () first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@pytest.fixture(scope="module")
+def reference_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("reference")
+    save_structure(_ALG, str(d / "alg.json"))
+    (d / "family.txt").write_text("mu(x)\n")
+    return d
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_file_exits_2_with_one_line(reference_files, kind, data):
+    tree = copy.deepcopy(_VALID[kind])
+    paths = list(_paths(tree))
+    required = [
+        p for p in paths if p and (p[-1] in _REQUIRED or len(p) > 1 and p[-2] in ("table", "values"))
+    ]
+    if data.draw(st.booleans(), label="delete"):
+        path = data.draw(st.sampled_from(required), label="path")
+        del _node(tree, path[:-1])[path[-1]]
+    else:
+        path = data.draw(st.sampled_from(paths), label="path")
+        node = _node(tree, path)
+        value = data.draw(st.sampled_from([s for s in _SENTINELS if type(s) is not type(node)]))
+        if path:
+            _node(tree, path[:-1])[path[-1]] = value
+        else:
+            tree = value
+    bad = reference_files / f"bad-{kind}.json"
+    bad.write_text(json.dumps(tree))
+    structure = str(reference_files / "alg.json")
+    argv = {
+        "structure": ["automorphisms", "--structure", str(bad)],
+        "predicate": ["defcheck", "distance-axioms", "--structure", structure,
+                      "--predicate", str(bad)],
+        "function": ["defcheck", "invariant-type", "--structure", structure,
+                     "--family", str(reference_files / "family.txt"), "--function", str(bad)],
+    }[kind]
+    _assert_one_error_line(*_main_quietly(argv))
