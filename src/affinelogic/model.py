@@ -319,6 +319,8 @@ def _term(M: FiniteStructure, t: Term, dom) -> tuple[tuple[str, ...], list[int]]
     fn = M.functions.get(t.name)
     if fn is None:
         raise EvalError(f"function {t.name!r} not interpreted")
+    if len(t.args) != fn.arity:
+        raise EvalError(f"function {t.name!r} takes {fn.arity} arguments, got {len(t.args)}")
     vs, cols = _join([_term(M, a, dom) for a in t.args], dom)
     return vs, [fn.table[args] for args in zip(*cols)]
 
@@ -355,13 +357,16 @@ def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _
         return (), [1], 1
     if isinstance(node, Apply):
         vs, cols = _join([_term(M, t, dom) for t in node.args], dom)
-        if node.symbol == METRIC:
-            vals = [M.metric[a][b] for a, b in zip(*cols)]
-        elif node.symbol in M.relations:
-            table = M.relations[node.symbol].table
-            vals = [table[args] for args in zip(*cols)]
-        else:
+        rel = None if node.symbol == METRIC else M.relations.get(node.symbol)
+        if rel is None and node.symbol != METRIC:
             raise EvalError(f"relation {node.symbol!r} not interpreted")
+        arity = 2 if rel is None else rel.arity
+        if len(cols) != arity:
+            raise EvalError(f"{node.symbol!r} takes {arity} arguments, got {len(cols)}")
+        if rel is None:
+            vals = [M.metric[a][b] for a, b in zip(*cols)]
+        else:
+            vals = [rel.table[args] for args in zip(*cols)]
         return (vs, *int_row(vals))
     if not isinstance(node, (Inf, Sup)):
         raise TypeError(f"not a formula: {node!r}")

@@ -261,14 +261,6 @@ def random_positive_weights(rng: random.Random, k: int) -> list[Fraction]:
     return [Fraction(r, total) for r in raws]
 
 
-def random_predicate(rng: random.Random, M: FiniteStructure, arity: int) -> PredicateTable:
-    values = {
-        a: random_fraction(rng)
-        for a in itertools.product(range(M.size), repeat=arity)
-    }
-    return PredicateTable(arity, values)
-
-
 def random_predicate_lipschitz_tail(
     rng: random.Random, M: FiniteStructure, head: int, tail: int, lam: Fraction
 ) -> PredicateTable:

@@ -2,8 +2,8 @@
 
 Structure files carry elements, a row-major metric, constants, and
 function/relation tables keyed by comma-joined element indices.  Family
-files are plain text, one formula per line.  Algebra files list atom
-weights.  Nothing here ever goes through floating point.
+files are plain text, one formula per line.  Nothing here ever goes
+through floating point.
 
 Every decoder raises FormatError for input it cannot decode, whatever
 went wrong inside it (see `_decodes`).
@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 from .definability import FunctionTable, PredicateTable
 from .errors import AffineLogicError, FormatError
 from .model import FiniteStructure, FunctionInterp, RelationInterp, validate_structure
-from .pra import MeasureAlgebra, build_algebra
 from .rationals import format_rational, parse_rational
 from .syntax import Formula, Signature, SymbolInfo, parse_formula
 from .typespace import FormulaFamily
@@ -46,6 +45,14 @@ def _decodes(what: str):
         return decode
 
     return wrap
+
+
+def _int(value, what: str) -> int:
+    """A field that must be a JSON integer: a float, a string or a bool is
+    a FormatError, where int() would truncate, parse or accept it."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _key_of(args: Sequence[int]) -> str:
@@ -82,11 +89,11 @@ def signature_from_dict(data: Mapping) -> Signature:
     return Signature(
         frozenset(data.get("constants", [])),
         {
-            k: SymbolInfo(int(v["arity"]), parse_rational(v["lambda"]))
+            k: SymbolInfo(_int(v["arity"], f"arity of {k!r}"), parse_rational(v["lambda"]))
             for k, v in data.get("functions", {}).items()
         },
         {
-            k: SymbolInfo(int(v["arity"]), parse_rational(v["lambda"]))
+            k: SymbolInfo(_int(v["arity"], f"arity of {k!r}"), parse_rational(v["lambda"]))
             for k, v in data.get("relations", {}).items()
         },
     )
@@ -132,10 +139,13 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
     elements = tuple(labels)
     metric = tuple(tuple(parse_rational(d) for d in row) for row in data["metric"])
     index = {label: i for i, label in enumerate(elements)}
+    if len(index) != len(elements):
+        repeated = next(e for i, e in enumerate(elements) if index[e] != i)
+        raise FormatError(f"duplicate element label {repeated!r}")
 
     def elem(ref) -> int:
-        if isinstance(ref, int):
-            return ref
+        if not isinstance(ref, str):
+            return _int(ref, "element index")
         if ref in index:
             return index[ref]
         raise FormatError(f"unknown element reference {ref!r}")
@@ -143,14 +153,14 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
     constants = {k: elem(v) for k, v in data.get("constants", {}).items()}
     functions = {}
     for name, spec in data.get("functions", {}).items():
-        arity = int(spec["arity"])
+        arity = _int(spec["arity"], f"arity of {name!r}")
         table = {
             _parse_key(k, arity): elem(v) for k, v in spec["table"].items()
         }
         functions[name] = FunctionInterp(arity, parse_rational(spec["lambda"]), table)
     relations = {}
     for name, spec in data.get("relations", {}).items():
-        arity = int(spec["arity"])
+        arity = _int(spec["arity"], f"arity of {name!r}")
         table = {
             _parse_key(k, arity): parse_rational(v) for k, v in spec["table"].items()
         }
@@ -224,7 +234,7 @@ def predicate_to_dict(P: PredicateTable) -> dict:
 
 @_decodes("predicate table")
 def predicate_from_dict(data: Mapping) -> PredicateTable:
-    arity = int(data["arity"])
+    arity = _int(data["arity"], "arity")
     values = {
         _parse_key(k, arity): parse_rational(v) for k, v in data["values"].items()
     }
@@ -242,11 +252,11 @@ def function_table_to_dict(f: FunctionTable) -> dict:
 
 @_decodes("function table")
 def function_table_from_dict(data: Mapping) -> FunctionTable:
-    arity_in = int(data["arity_in"])
-    arity_out = int(data["arity_out"])
+    arity_in = _int(data["arity_in"], "arity_in")
+    arity_out = _int(data["arity_out"], "arity_out")
     table = {}
     for k, v in data["table"].items():
-        out = tuple(int(x) for x in (v if isinstance(v, list) else [v]))
+        out = tuple(_int(x, "function table output") for x in (v if isinstance(v, list) else [v]))
         if len(out) != arity_out:
             raise FormatError(f"function table output {v!r} does not match arity_out")
         table[_parse_key(k, arity_in)] = out
@@ -278,31 +288,6 @@ def save_function_table(f: FunctionTable, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# algebras
-
-
-def algebra_to_dict(A: MeasureAlgebra) -> dict:
-    return {"atoms": [format_rational(w) for w in A.weights]}
-
-
-@_decodes("algebra")
-def algebra_from_dict(data: Mapping) -> MeasureAlgebra:
-    return build_algebra([parse_rational(w) for w in data["atoms"]])
-
-
-@_decodes("algebra")
-def load_algebra(path: str) -> MeasureAlgebra:
-    with open(path) as fh:
-        return algebra_from_dict(json.load(fh))
-
-
-def save_algebra(A: MeasureAlgebra, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(algebra_to_dict(A), fh, indent=2)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
 # witness distributions
 
 
@@ -312,17 +297,3 @@ def witness_to_dict(witness: Mapping[tuple[int, ...], Fraction]) -> dict:
         "arity": arity,
         "weights": {_key_of(a): format_rational(w) for a, w in sorted(witness.items())},
     }
-
-
-@_decodes("witness")
-def witness_from_dict(data: Mapping) -> dict[tuple[int, ...], Fraction]:
-    arity = int(data["arity"])
-    return {
-        _parse_key(k, arity): parse_rational(v) for k, v in data["weights"].items()
-    }
-
-
-@_decodes("witness")
-def load_witness(path: str) -> dict[tuple[int, ...], Fraction]:
-    with open(path) as fh:
-        return witness_from_dict(json.load(fh))

@@ -7,6 +7,9 @@ makes every formula an affine functional of the model's relation tables.
 
 The module owns the term/formula AST, the concrete grammar (parser and
 renderer), Lipschitz certificates, and affine combinations of conditions.
+The parser reads syntax only; check_formula holds every signature rule
+(declared symbols, arities, variable names), and parse_formula ends by
+calling it.  Only syntax errors carry a position in the text.
 """
 
 from __future__ import annotations
@@ -200,15 +203,19 @@ class Signature:
 
 
 def check_formula(phi: Formula, sig: Signature) -> None:
-    """Raise if phi uses undeclared symbols or wrong arities.
+    """Raise if phi breaks a rule of sig, the only place that knows them:
+    every symbol is declared and gets as many arguments as its arity (d
+    takes 2), and no variable is named like a reserved word or a declared
+    symbol.  The errors carry no position.
 
     Nodes are visited in order, left before right, with a stack, so a
     long sum costs no recursion depth."""
+    taken = RESERVED | sig.constants | sig.functions.keys() | sig.relations.keys()
 
     def check_term(t: Term) -> None:
         if isinstance(t, Var):
-            if t.name in RESERVED:
-                raise UnknownSymbolError(f"{t.name!r} cannot be a variable")
+            if t.name in taken:
+                raise UnknownSymbolError(f"variable {t.name!r} collides with a declared symbol")
             return
         if isinstance(t, Const):
             if t.name not in sig.constants:
@@ -247,8 +254,7 @@ def check_formula(phi: Formula, sig: Signature) -> None:
             for t in node.args:
                 check_term(t)
         elif isinstance(node, (Inf, Sup)):
-            if node.var in RESERVED or node.var in sig.constants or node.var in sig.functions \
-                    or node.var in sig.relations:
+            if node.var in taken:
                 raise UnknownSymbolError(
                     f"quantified variable {node.var!r} collides with a declared symbol"
                 )
@@ -309,16 +315,21 @@ def _tokenize(text: str) -> list[_Token]:
 # formula := sum
 # sum     := scaled (("+" | "-") scaled)*        -- "a - b" sugars to a + (-1)*b
 # scaled  := rational "*" scaled | atom          -- scaling binds tighter than +
-# atom    := "1" | ident "(" term ("," term)* ")" | "d(" term "," term ")"
-#          | ("inf" | "sup") var "." formula     -- body extends maximally right
+# atom    := "1" | ident args                      -- a relation, or the metric d
+#          | ("inf" | "sup") ident "." formula   -- body extends maximally right
 #          | "(" formula ")"
+# args    := "(" term ("," term)* ")"
+# term    := ident args | ident                  -- a function; a constant or variable
 # rational := ["-"] int ["/" int]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: Signature):
+    """Reads syntax only.  The one thing it takes from the signature is the
+    set of constant names, which tells a Const from a Var."""
+
+    def __init__(self, tokens: list[_Token], constants: frozenset[str]):
         self.tokens = tokens
-        self.sig = sig
+        self.constants = constants
         self.i = 0
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -385,37 +396,27 @@ class _Parser:
         if tok.kind == "IDENT":
             if tok.text in QUANTIFIER_KEYWORDS:
                 self.advance()
-                var = self.variable_name()
+                var = self.expect("IDENT", "a variable name").text
                 self.expect("DOT", "'.' after quantified variable")
                 body = self.formula()
                 return Inf(var, body) if tok.text == "inf" else Sup(var, body)
-            name = tok.text
             self.advance()
             if self.peek().kind != "LPAREN":
                 raise ParseError(
-                    f"{name!r} is not a formula by itself; relation symbols take"
+                    f"{tok.text!r} is not a formula by itself; relation symbols take"
                     " an argument list", tok.pos,
                 )
-            self.advance()
-            args = [self.term()]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-            if name == METRIC:
-                if len(args) != 2:
-                    raise ArityMismatchError("the metric 'd' takes exactly 2 arguments", tok.pos)
-            else:
-                info = self.sig.relations.get(name)
-                if info is None:
-                    raise UnknownSymbolError(f"unknown relation symbol {name!r}", tok.pos)
-                if len(args) != info.arity:
-                    raise ArityMismatchError(
-                        f"relation {name!r} expects {info.arity} arguments, got {len(args)}",
-                        tok.pos,
-                    )
-            return Apply(name, tuple(args))
+            return Apply(tok.text, self.arguments())
         raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def arguments(self) -> tuple[Term, ...]:
+        self.expect("LPAREN", "'('")
+        args = [self.term()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            args.append(self.term())
+        self.expect("RPAREN", "')'")
+        return tuple(args)
 
     def term(self) -> Term:
         tok = self.peek()
@@ -423,56 +424,22 @@ class _Parser:
             raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
         if tok.text in QUANTIFIER_KEYWORDS:
             raise ParseError(f"keyword {tok.text!r} cannot appear in a term", tok.pos)
-        name = tok.text
         self.advance()
         if self.peek().kind == "LPAREN":
-            if name == METRIC or name in self.sig.relations:
-                raise UnknownSymbolError(
-                    f"relation symbol {name!r} cannot appear inside a term", tok.pos
-                )
-            info = self.sig.functions.get(name)
-            if info is None:
-                raise UnknownSymbolError(f"unknown function symbol {name!r}", tok.pos)
-            self.advance()
-            args = [self.term()]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-            if len(args) != info.arity:
-                raise ArityMismatchError(
-                    f"function {name!r} expects {info.arity} arguments, got {len(args)}",
-                    tok.pos,
-                )
-            return Func(name, tuple(args))
-        if name in self.sig.constants:
-            return Const(name)
-        if name in self.sig.functions:
-            raise ArityMismatchError(f"function symbol {name!r} needs an argument list", tok.pos)
-        if name == METRIC or name in self.sig.relations:
-            raise UnknownSymbolError(
-                f"relation symbol {name!r} cannot appear inside a term", tok.pos
-            )
-        return Var(name)
-
-    def variable_name(self) -> str:
-        tok = self.expect("IDENT", "a variable name")
-        if tok.text in RESERVED or tok.text in self.sig.constants \
-                or tok.text in self.sig.functions or tok.text in self.sig.relations:
-            raise UnknownSymbolError(
-                f"variable name {tok.text!r} collides with a declared symbol", tok.pos
-            )
-        return tok.text
+            return Func(tok.text, self.arguments())
+        return Const(tok.text) if tok.text in self.constants else Var(tok.text)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse concrete syntax into a Formula, validated against sig.
+    """Parse concrete syntax into a Formula, then check it against sig.
 
-    The parser recurses once per level of nesting (parentheses,
-    quantifiers, scalings); nesting deeper than the interpreter's
-    recursion limit is a ParseError.  Sums are read with a loop, so a long
-    sum nests nothing."""
-    parser = _Parser(_tokenize(text), sig)
+    The parser reads syntax only, and its errors carry their position in
+    text; check_formula then applies every signature rule, and its errors
+    carry none.  The parser recurses once per level of nesting
+    (parentheses, quantifiers, scalings); nesting deeper than the
+    interpreter's recursion limit is a ParseError.  Sums are read with a
+    loop, so a long sum nests nothing."""
+    parser = _Parser(_tokenize(text), sig.constants)
     try:
         node = parser.formula()
     except RecursionError:
@@ -480,6 +447,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     end = parser.peek()
     if end.kind != "END":
         raise ParseError(f"unexpected trailing input {end.text!r}", end.pos)
+    check_formula(node, sig)
     return node
 
 

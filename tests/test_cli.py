@@ -709,6 +709,17 @@ def test_malformed_structure_file(capsys, work, name, broken, message):
     assert err.startswith("error: " + message)
 
 
+def test_duplicate_element_label_is_a_usage_error(capsys, work):
+    data = json.loads(open(work["alg"]).read())
+    label = data["elements"][0]
+    data["elements"][1] = label
+    path = work["tmp"] / "duplicate.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["eval", "mu(x)", "--structure", str(path), "--assign", f"x={label}"])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: duplicate element label {label!r}\n"
+
+
 @pytest.mark.parametrize("text", ["[1]", "{", "\udcff"])
 def test_malformed_predicate_file(capsys, work, text):
     path = work["tmp"] / "bad.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Mapping, Sequence
@@ -656,6 +657,27 @@ def test_eval_errors_name_the_missing_symbol():
                 evaluate(M, phi, {})
     with pytest.raises(EvalError, match="not covered"):
         eval_table(M, cases[0][1], ())
+
+
+@pytest.mark.parametrize("phi, message", [
+    (Apply("R", (Var("x"), Var("y"))), "'R' takes 1 arguments, got 2"),
+    (Apply(METRIC, (Var("x"),)), "'d' takes 2 arguments, got 1"),
+    (Apply(METRIC, (Var("x"), Var("x"), Var("y"))), "'d' takes 2 arguments, got 3"),
+    (Apply("R", (Func("g", (Var("x"),)),)), "function 'g' takes 2 arguments, got 1"),
+    (Apply("R", (Func("f", (Var("x"), Var("y"))),)), "function 'f' takes 1 arguments, got 2"),
+])
+def test_eval_arity_mismatch_is_an_eval_error(phi, message):
+    # Formulas built by hand skip check_formula; the evaluator still names
+    # the symbol instead of failing on a table lookup.
+    M = FiniteStructure(
+        ("a", "b"), ((ZERO, ONE), (ONE, ZERO)), {},
+        {"f": FunctionInterp(1, ONE, {(0,): 1, (1,): 0}),
+         "g": FunctionInterp(2, ONE, {(i, j): i for i in range(2) for j in range(2)})},
+        {"R": RelationInterp(1, ONE, {(0,): ZERO, (1,): ONE})},
+    )
+    for evaluate, args in ((eval_table, (("x", "y"),)), (eval_formula, ({"x": 0, "y": 1},))):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            evaluate(M, phi, *args)
 
 
 def test_eval_shadowing_and_nested_binders(algebra_structure):

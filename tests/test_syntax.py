@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.sampling import random_formula
 from affinelogic.syntax import (
@@ -10,6 +10,7 @@ from affinelogic.syntax import (
     ArityMismatchError,
     Condition,
     Const,
+    FormulaError,
     Func,
     Inf,
     One,
@@ -127,6 +128,83 @@ def test_check_formula_rejects_foreign_symbols():
     phi = parse_formula("S(x)", other)
     with pytest.raises(UnknownSymbolError):
         check_formula(phi, SIG)
+
+
+def test_check_formula_rejects_a_variable_named_like_a_symbol():
+    # d(mu, zero) does not parse, so its AST must not pass the check either
+    phi = Apply("d", (Var("mu"), Const("zero")))
+    with pytest.raises(UnknownSymbolError, match="variable 'mu' collides"):
+        check_formula(phi, SIG)
+    with pytest.raises(UnknownSymbolError):
+        certificate(phi, SIG)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("mu(f)", UnknownSymbolError, "variable 'f' collides with a declared symbol"),
+    ("mu(d)", UnknownSymbolError, "variable 'd' collides with a declared symbol"),
+    ("mu(mu(x))", UnknownSymbolError, "unknown function symbol 'mu'"),
+    ("mu(mu)", UnknownSymbolError, "variable 'mu' collides with a declared symbol"),
+    ("inf mu. 1", UnknownSymbolError, "quantified variable 'mu' collides with a declared symbol"),
+    ("R(f(x, y), y)", ArityMismatchError, "function 'f' expects 1 arguments, got 2"),
+    ("nu(x)", UnknownSymbolError, "unknown relation symbol 'nu'"),
+])
+def test_symbol_errors_come_from_check_formula_without_position(text, error, message):
+    with pytest.raises(error) as info:
+        parse_formula(text, SIG)
+    assert str(info.value) == message
+    assert info.value.position is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mu(inf)", "keyword 'inf' cannot appear in a term (at position 3)"),
+    ("mu(x", "expected ')', found 'end of input' (at position 4)"),
+    ("mu", "'mu' is not a formula by itself; relation symbols take an argument list"
+           " (at position 0)"),
+])
+def test_syntax_errors_keep_their_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, SIG)
+    assert type(info.value) is ParseError
+    assert str(info.value) == message
+
+
+# Every name a formula can use with SIG, and the names SIG reserves.
+_NAMES = ("x", "y", "z", "mu", "R", "f", "zero", "one", "d", "inf", "sup")
+_ANY_TERMS = st.recursive(
+    st.sampled_from(_NAMES).map(Var) | st.sampled_from(_NAMES).map(Const),
+    lambda t: st.builds(Func, st.sampled_from(_NAMES), st.lists(t, max_size=3).map(tuple)),
+    max_leaves=4,
+)
+_ANY_FORMULAS = st.recursive(
+    st.just(One())
+    | st.builds(Apply, st.sampled_from(_NAMES), st.lists(_ANY_TERMS, max_size=3).map(tuple)),
+    lambda f: st.builds(Scale, st.sampled_from([F(-1), F(-2, 3), F(0), F(1), F(3)]), f)
+    | st.builds(Sum, f, f)
+    | st.builds(Inf, st.sampled_from(_NAMES), f)
+    | st.builds(Sup, st.sampled_from(_NAMES), f),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_FORMULAS)
+@example(Apply("d", (Var("mu"), Const("zero"))))
+@example(Apply("R", (Var("zero"), Const("zero"))))
+@example(Apply("mu", (Var("f"),)))
+@example(Inf("x", Apply("mu", (Func("f", (Var("R"),)),))))
+def test_check_formula_accepts_exactly_what_round_trips(phi):
+    # One rule book: an AST passes check_formula exactly when its rendering
+    # parses back to it, since the parser reads syntax and then runs the check.
+    try:
+        check_formula(phi, SIG)
+        accepted = True
+    except FormulaError:
+        accepted = False
+    try:
+        round_trips = parse_formula(render(phi), SIG) == phi
+    except FormulaError:
+        round_trips = False
+    assert accepted == round_trips
 
 
 def test_signature_rejects_reserved_names():
