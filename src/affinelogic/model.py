@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import AffineLogicError
 from .linalg import int_row
@@ -432,89 +432,40 @@ def eval_condition(M: FiniteStructure, cond, asg: Mapping[str, int] | None = Non
 def automorphisms(M: FiniteStructure) -> list[tuple[int, ...]]:
     """All permutations preserving the metric and every interpretation.
 
-    Backtracking over images with incremental metric and table pruning; the
+    Depth-first over the images of 0, 1, ..., m-1, each taking candidates
+    in increasing order, with named constants pinned to themselves.  Every
+    table entry is checked once, at the step that assigns the largest
+    element it mentions (the max of its arguments and, for a function, of
+    its output), so each complete assignment is an automorphism.  The
     identity is always present and the result is closed under composition.
     """
-    m = M.size
-    perm: list[int] = [-1] * m
-    used = [False] * m
-    results: list[tuple[int, ...]] = []
-
-    pinned: dict[int, int] = {}
-    for idx in M.constants.values():
-        pinned[idx] = idx
-
-    rel_items = list(M.relations.values())
-    fn_items = list(M.functions.values())
-
-    def consistent(i: int, cand: int) -> bool:
-        for j in range(i):
-            if M.metric[i][j] != M.metric[cand][perm[j]]:
-                return False
-        if M.metric[i][i] != M.metric[cand][cand]:
-            return False
-        assigned = list(range(i + 1))
-        for rel in rel_items:
-            if rel.arity > 2:
-                continue  # deferred to the final check
-            if rel.arity == 1:
-                if rel.table[(i,)] != rel.table[(cand,)]:
-                    return False
-            else:
-                for j in assigned:
-                    pj = perm[j] if j < i else cand
-                    if rel.table[(i, j)] != rel.table[(cand, pj)]:
-                        return False
-                    if rel.table[(j, i)] != rel.table[(pj, cand)]:
-                        return False
-        for fn in fn_items:
-            if fn.arity > 2:
-                continue
-            if fn.arity == 1:
-                out = fn.table[(i,)]
-                if out <= i:
-                    target = perm[out] if out < i else cand
-                    if fn.table[(cand,)] != target:
-                        return False
-            else:
-                for j in assigned:
-                    for x, y in ((i, j), (j, i)):
-                        px = cand if x == i else perm[x]
-                        py = cand if y == i else perm[y]
-                        out = fn.table[(x, y)]
-                        if out <= i:
-                            pout = cand if out == i else perm[out]
-                            if fn.table[(px, py)] != pout:
-                                return False
-        return True
-
-    def full_check() -> bool:
-        g = perm
-        for rel in M.relations.values():
-            for args, v in rel.table.items():
-                if rel.table[tuple(g[a] for a in args)] != v:
-                    return False
-        for fn in M.functions.values():
-            for args, out in fn.table.items():
-                if fn.table[tuple(g[a] for a in args)] != g[out]:
-                    return False
-        return True
+    m, d = M.size, M.metric
+    pinned = set(M.constants.values())
+    free = [c for c in range(m) if c not in pinned]  # a pinned c is no other's image
+    # due[i]: (table, args, value, is_function) for the entries whose
+    # largest element is i (a nullary relation's at 0: any perm keeps it)
+    due: list[list] = [[] for _ in range(m)]
+    for rel in M.relations.values():
+        for args, v in rel.table.items():
+            due[max(args, default=0)].append((rel.table, args, v, False))
+    for fn in M.functions.values():
+        for args, out in fn.table.items():
+            due[max(out, *args)].append((fn.table, args, out, True))
+    perm, used, results = [-1] * m, [False] * m, []
 
     def extend(i: int) -> None:
         if i == m:
-            if full_check():
-                results.append(tuple(perm))
+            results.append(tuple(perm))
             return
-        forced = pinned.get(i)
-        candidates = [forced] if forced is not None else [c for c in range(m) if not used[c]]
-        for cand in candidates:
-            if used[cand] or not consistent(i, cand):
+        for c in (i,) if i in pinned else free:
+            if used[c] or d[i][i] != d[c][c] or any(d[i][j] != d[c][perm[j]] for j in range(i)):
                 continue
-            perm[i] = cand
-            used[cand] = True
-            extend(i + 1)
-            used[cand] = False
-            perm[i] = -1
+            perm[i] = c
+            if all(table[tuple(map(perm.__getitem__, args))] == (perm[v] if is_fn else v)
+                   for table, args, v, is_fn in due[i]):
+                used[c] = True
+                extend(i + 1)
+                used[c] = False
 
     extend(0)
     return results

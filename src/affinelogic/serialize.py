@@ -1,9 +1,11 @@
 """JSON file formats with bit-exact 'p/q' rationals.
 
 Structure files carry elements, a row-major metric, constants, and
-function/relation tables keyed by comma-joined element indices.  Family
-files are plain text, one formula per line.  Nothing here ever goes
-through floating point.
+function/relation tables keyed by comma-joined element indices.  Each
+index is canonical: ASCII digits, no sign, space, '_' or leading zero.
+Every rational is exactly '[-]p' or '[-]p/q' (see parse_rational).
+Family files are plain text, one formula per line.  Nothing here ever
+goes through floating point.
 
 Every decoder raises FormatError for input it cannot decode, whatever
 went wrong inside it (see `_decodes`).
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
+import re
 from typing import Mapping, Sequence
 
 from .definability import FunctionTable, PredicateTable
@@ -55,12 +57,22 @@ def _int(value, what: str) -> int:
     return value
 
 
+# A key: canonical indices (ASCII digits, no sign, space, '_' or leading
+# zero) joined by commas, or "" for arity 0.
+_INDEX = r"(?:0|[1-9][0-9]*)"
+_KEY = re.compile(f"(?:{_INDEX}(?:,{_INDEX})*)?")
+
+
 def _key_of(args: Sequence[int]) -> str:
     return ",".join(str(a) for a in args)
 
 
 def _parse_key(text: str, arity: int) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in text.split(",")) if text else ()
+    """The inverse of _key_of: `arity` canonical indices joined by commas,
+    so each tuple has one spelling and no two keys collapse."""
+    if not _KEY.fullmatch(text):
+        raise FormatError(f"table key {text!r} is not comma-joined canonical indices")
+    parts = tuple(map(int, text.split(","))) if text else ()
     if len(parts) != arity:
         raise FormatError(f"table key {text!r} does not have arity {arity}")
     return parts
@@ -285,15 +297,3 @@ def save_function_table(f: FunctionTable, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(function_table_to_dict(f), fh, indent=2)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# witness distributions
-
-
-def witness_to_dict(witness: Mapping[tuple[int, ...], Fraction]) -> dict:
-    arity = len(next(iter(witness))) if witness else 0
-    return {
-        "arity": arity,
-        "weights": {_key_of(a): format_rational(w) for a, w in sorted(witness.items())},
-    }

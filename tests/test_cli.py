@@ -709,6 +709,18 @@ def test_malformed_structure_file(capsys, work, name, broken, message):
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("key", ["01", " +1"])
+def test_non_canonical_table_key_is_a_usage_error(capsys, work, key):
+    # int() reads both as 1; the "1" entry would be dropped without a word
+    data = json.loads(open(work["alg"]).read())
+    data["relations"]["mu"]["table"][key] = data["relations"]["mu"]["table"]["1"]
+    path = work["tmp"] / "key.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["automorphisms", "--structure", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: table key {key!r} is not comma-joined canonical indices\n"
+
+
 def test_duplicate_element_label_is_a_usage_error(capsys, work):
     data = json.loads(open(work["alg"]).read())
     label = data["elements"][0]

@@ -365,6 +365,83 @@ def test_automorphisms_respect_relations():
     assert automorphisms(M) == [(0, 1)]
 
 
+def _is_automorphism(M, p):
+    """Brute force: p is an isometry, fixes every constant and maps every
+    relation entry to an equal value and every function entry to p[out]."""
+    n = M.size
+    return (
+        all(M.metric[i][j] == M.metric[p[i]][p[j]] for i in range(n) for j in range(n))
+        and all(p[c] == c for c in M.constants.values())
+        and all(rel.table[apply_to_tuple(p, a)] == v
+                for rel in M.relations.values() for a, v in rel.table.items())
+        and all(fn.table[apply_to_tuple(p, a)] == p[out]
+                for fn in M.functions.values() for a, out in fn.table.items())
+    )
+
+
+@st.composite
+def _symmetric_structures(draw):
+    """Structures on m <= 5 points with much symmetry: discrete, two-valued
+    or random metrics; relations of arity 1-3 that are random or depend
+    only on a colouring; functions of arity 1-2 that are random, a
+    projection or constant (outputs above their inputs included)."""
+    m = draw(st.integers(1, 5), label="m")
+    kind = draw(st.sampled_from(["discrete", "two-valued", "random"]), label="metric")
+    if kind == "random":
+        metric = random_metric(random.Random(draw(st.integers(0, 10**6))), m)
+    else:
+        pair = {(i, j): ONE if kind == "discrete" else draw(st.sampled_from([F(1, 2), ONE]))
+                for i in range(m) for j in range(i + 1, m)}
+        metric = tuple(tuple(ZERO if i == j else pair[min(i, j), max(i, j)] for j in range(m))
+                       for i in range(m))
+    colour = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="colour")
+    relations = {}
+    for k in range(draw(st.integers(0, 2), label="relations")):
+        arity = draw(st.integers(1, 3))
+        keys = list(itertools.product(range(m), repeat=arity))
+        if draw(st.booleans()):
+            values = [draw(st.sampled_from([ZERO, F(1, 2), ONE])) for _ in keys]
+        else:
+            values = [F(sum(colour[x] for x in a), arity) for a in keys]
+        relations[f"R{k}"] = RelationInterp(arity, ONE, dict(zip(keys, values)))
+    functions = {}
+    for k in range(draw(st.integers(0, 2), label="functions")):
+        arity = draw(st.integers(1, 2))
+        keys = list(itertools.product(range(m), repeat=arity))
+        shape = draw(st.sampled_from(["random", "projection", "constant"]))
+        if shape == "random":
+            outs = [draw(st.integers(0, m - 1)) for _ in keys]
+        elif shape == "projection":
+            outs = [a[arity - 1] for a in keys]
+        else:
+            outs = [draw(st.integers(0, m - 1))] * len(keys)
+        functions[f"f{k}"] = FunctionInterp(arity, ONE, dict(zip(keys, outs)))
+    named = draw(st.sets(st.integers(0, m - 1), max_size=2), label="constants")
+    return FiniteStructure(
+        tuple(f"e{i}" for i in range(m)), metric, {f"c{i}": i for i in named}, functions, relations
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_structures())
+def test_automorphisms_match_brute_force(M):
+    brute = [p for p in itertools.permutations(range(M.size)) if _is_automorphism(M, p)]
+    assert automorphisms(M) == brute
+
+
+def test_automorphisms_of_addition_mod_8():
+    # the discrete metric leaves only the ternary Add(x, y, z) = [x + y = z mod 8]
+    # to prune; it is kept exactly by the maps x -> kx for odd k
+    m = 8
+    table = {a: F(int((a[0] + a[1]) % m == a[2])) for a in itertools.product(range(m), repeat=3)}
+    M = FiniteStructure(
+        elements=tuple(str(i) for i in range(m)),
+        metric=tuple(tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m)),
+        relations={"Add": RelationInterp(3, ONE, table)},
+    )
+    assert automorphisms(M) == [tuple(k * x % m for x in range(m)) for k in (1, 3, 5, 7)]
+
+
 def test_automorphism_preserves_formula_values():
     M = build_algebra([F(1, 4), F(1, 4), F(1, 2)]).to_structure()
     sig = M.signature()
