@@ -36,7 +36,7 @@ sig = factors[0].signature()
 for trial in range(5):
     phi = random_formula(rng, sig, ("x", "y"), depth=3, quantifiers=1)
     raw = {
-        v: tuple(rng.randrange(M.size) for M in factors) for v in free_vars(phi)
+        v: tuple(rng.randrange(M.size) for M in factors) for v in sorted(free_vars(phi))
     }
     rep = check_ultramean_identity(factors, mu, phi, raw, mean=mean)
     print(f"trial {trial}: {render(phi)}")

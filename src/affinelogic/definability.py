@@ -68,9 +68,14 @@ def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
             raise DefinabilityError(f"output out of range at {args}")
     # All pairs: M is not validated here, and reducing to neighbour pairs
     # for tuple-valued outputs needs the triangle inequality of its metric.
+    # Tuple distances are int sums over the metric's common denominator.
+    d, _ = int_metric(M)
+    lam_num, lam_den = f.lam.as_integer_ratio()
     for a in expected:
+        fa = f.table[a]
         for b in expected:
-            if M.tuple_distance(f.table[a], f.table[b]) > f.lam * M.tuple_distance(a, b):
+            out = sum(d[x][y] for x, y in zip(fa, f.table[b]))
+            if out * lam_den > lam_num * sum(d[x][y] for x, y in zip(a, b)):
                 raise DefinabilityError(
                     f"function table violates its declared constant at {a}, {b}"
                 )
@@ -498,22 +503,29 @@ class GraphIdentityReport:
 
 
 def check_graph_identities(M: FiniteStructure, f: FunctionTable) -> GraphIdentityReport:
-    """Exact table check of the two distance-to-graph identities."""
-    graph = function_graph(M, f)
-    dist = distance_predicate(M, graph, f.arity_in + f.arity_out)
+    """Exact table check of the two distance-to-graph identities.
+
+    Every distance is an int numerator over the common denominator of the
+    int metric (see `int_metric`), as in `distance_predicate`.
+    """
+    graph, _ = _normalize_set(function_graph(M, f), f.arity_in + f.arity_out)
+    d, _ = int_metric(M)
     xs = _tuples(M, f.arity_in)
     ys = _tuples(M, f.arity_out)
+    ny = len(ys)
+    dist = _set_distances(d, graph)  # (xs[i], ys[k]) at i * ny + k
+    from_x = [_sums(d, x) for x in xs]            # d(x, u) for every u
+    from_fx = [_sums(d, f.table[x]) for x in xs]  # d(f(x), y) for every y
+    from_y = [_sums(d, y) for y in ys]            # d(v, y) for every y
     forward = all(
-        dist.values[x + y]
-        == min(M.tuple_distance(x, u) + M.tuple_distance(f.table[u], y) for u in xs)
-        for x in xs
-        for y in ys
+        dist[i * ny + k] == min(du + fu[k] for du, fu in zip(from_x[i], from_fx))
+        for i in range(len(xs))
+        for k in range(ny)
     )
     backward = all(
-        M.tuple_distance(f.table[x], y)
-        == min(dist.values[x + v] + M.tuple_distance(v, y) for v in ys)
-        for x in xs
-        for y in ys
+        from_fx[i][k] == min(dist[i * ny + v] + from_y[v][k] for v in range(ny))
+        for i in range(len(xs))
+        for k in range(ny)
     )
     return GraphIdentityReport(forward, backward)
 

@@ -1,17 +1,17 @@
 """Exact linear algebra: solving, rank, affine factoring.
 
-Rational matrices are eliminated by one kernel over Python ints.  Each row
-is a list of int numerators over one positive int denominator, kept
-primitive (the gcd of the denominator and the numerators is 1), so every
-entry is an exact rational while no Fraction is built inside the loops.
-`linprog` pivots its simplex tableau with the same kernel.
+Rational matrices are eliminated by one fraction-free kernel over Python
+ints (integer-preserving Gauss-Jordan: Bareiss 1968, Edmonds).  All rows
+are int numerators over one positive denominator D, and every division is
+exact, so no gcd and no Fraction is needed inside the loops.  `linprog`
+pivots its simplex tableau with the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Hashable, Sequence
 
 from .errors import InternalError
@@ -35,52 +35,42 @@ def int_row(values: Sequence) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def reduce_row(
-    row: list[int], den: int, prow: list[int], p: int, col: int
-) -> tuple[list[int], int]:
-    """Clear column col of the rational row row/den with the pivot row prow/p.
+def pivot(rows: list[list[int]], D: int, r: int, col: int) -> int:
+    """Gauss-Jordan pivot on entry (r, col) of the rows over D, in place.
 
-    prow[col] == p > 0, so the pivot row's rational entry at col is 1.  The
-    result is p*row - row[col]*prow over den*p, reduced to be primitive.
+    Returns the new denominator |rows[r][col]|.  The pivot row is kept,
+    negated if its pivot is negative (which negates every row, so the
+    denominator stays positive); every other row becomes (p*v - f*w) // D.
+    The division is exact: from int rows over D = 1, the entries stay
+    minors of the starting rows and D = |det| of the pivoted minor.
     """
-    f = row[col]
-    if not f:
-        return row, den
-    new = [p * v - f * w for v, w in zip(row, prow)]
-    den *= p
-    g = gcd(den, *new)
-    if g > 1:
-        new = [v // g for v in new]
-        den //= g
-    return new, den
-
-
-def pivot(rows: list[list[int]], dens: list[int], r: int, col: int) -> None:
-    """Gauss-Jordan pivot in place: entry (r, col) becomes 1, the rest of col 0."""
     prow = rows[r]
     p = prow[col]
     if p < 0:
-        prow = [-v for v in prow]
+        prow = rows[r] = [-w for w in prow]
         p = -p
-    g = gcd(*prow)
-    if g > 1:
-        prow = [v // g for v in prow]
-        p //= g
-    rows[r] = prow
-    dens[r] = p
     for i, row in enumerate(rows):
-        if i != r and row[col]:
-            rows[i], dens[i] = reduce_row(row, dens[i], prow, p, col)
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(p * v - f * w) // D for v, w in zip(row, prow)]
+        elif p != D:
+            rows[i] = [p * v // D for v in row]
+    return p
 
 
-def _row_reduce(rows: list[list[int]], dens: list[int], ncols: int) -> list[tuple[int, int]]:
+def _row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int, list[int]]:
     """Reduced row echelon form over the first ncols columns, in place.
 
     The pivot of each column is the first nonzero entry at or below the
-    current row.  Returns the (row, column) pivots; their count is the rank.
+    current row.  Returns the (row, column) pivots, whose count is the
+    rank, the denominator D, and the order: rows[k] was input row order[k].
     """
     m = len(rows)
+    order = list(range(m))
     pivots: list[tuple[int, int]] = []
+    D = 1
     for col in range(ncols):
         row = len(pivots)
         if row == m:
@@ -89,10 +79,10 @@ def _row_reduce(rows: list[list[int]], dens: list[int], ncols: int) -> list[tupl
         if piv is None:
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
-        dens[row], dens[piv] = dens[piv], dens[row]
-        pivot(rows, dens, row, col)
+        order[row], order[piv] = order[piv], order[row]
+        D = pivot(rows, D, row, col)
         pivots.append((row, col))
-    return pivots
+    return pivots, D, order
 
 
 @dataclass
@@ -113,24 +103,22 @@ class LinearSolution:
 def gauss_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LinearSolution:
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # Augment with the identity to track the row combination applied.
+    # Row i: [A_i | b_i | e_i] times its denominator; the e_i block tracks
+    # the combination of input rows applied.
     a: list[list[int]] = []
-    dens: list[int] = []
     for i in range(m):
         row, den = int_row([*rows[i], rhs[i]])
         row.extend(den if k == i else 0 for k in range(m))
         a.append(row)
-        dens.append(den)
-    pivots = _row_reduce(a, dens, n)
+    pivots, D, order = _row_reduce(a, n)
     for r in range(len(pivots), m):
         if a[r][n]:
-            den = dens[r]
-            return LinearSolution(
-                False, combination=tuple(Fraction(v, den) for v in a[r][n + 1:])
-            )
+            comb = a[r][n + 1:]
+            own = comb[order[r]]  # scaled to the textbook multiplier 1 of its own input row
+            return LinearSolution(False, combination=tuple(Fraction(v, own) for v in comb))
     x = [ZERO] * n
     for r, c in pivots:
-        x[c] = Fraction(a[r][n], dens[r])
+        x[c] = Fraction(a[r][n], D)
     return LinearSolution(True, x=tuple(x), free_count=n - len(pivots))
 
 
@@ -138,8 +126,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """The number of pivots, that is columns minus free variables."""
     if not rows:
         return 0
-    scaled = [int_row(r) for r in rows]
-    return len(_row_reduce([r for r, _ in scaled], [d for _, d in scaled], len(rows[0])))
+    return len(_row_reduce([int_row(r)[0] for r in rows], len(rows[0]))[0])
 
 
 def affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:

@@ -5,11 +5,13 @@ tableau, Bland's rule throughout (smallest eligible index enters, ties in the
 ratio test go to the row whose basic variable has the smallest index), so the
 method terminates without cycling.  No floating point anywhere.
 
-The API takes and returns `Fraction`s.  Inside, each tableau row is a list
-of Python ints over one positive denominator, pivoted by the elimination
-kernel of `linalg`: every entry equals the rational the textbook tableau
-would hold, so the pivot path and the results are exactly those of a
-`Fraction` tableau, without a `Fraction` built per entry.
+`solve_standard` is `Fraction` in and out over `solve_int`, which takes int
+rows.  The tableau is int rows over one denominator, pivoted by the
+fraction-free kernel of `linalg`.  Phase 1 starts from each row times its
+own denominator, artificial columns of 1 and artificial costs L / den_i (L
+the lcm of the denominators): positive column and objective scalings of
+the textbook `Fraction` tableau, which keep every reduced-cost sign and
+every ratio order, so the pivots and results are the textbook ones.
 
 Infeasible problems come back with a Farkas certificate y: y.A <= 0
 componentwise and y.b > 0, stated for the caller's row orientation.  Every
@@ -27,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InternalError
-from .linalg import int_row, pivot, reduce_row
+from .linalg import int_row, pivot
 
 ZERO = Fraction(0)
 
@@ -49,37 +51,37 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Constraint rows, then the reduced-cost row, as `linalg` int rows.
+    """Constraint rows, then the reduced-cost row, as int rows over the
+    common denominator D of `linalg.pivot`.
 
     Column `ncols` holds the right-hand side; in the reduced-cost row it
     holds minus the objective value of the current basis.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], ncols: int):
+    def __init__(self, rows: list[list[int]], ncols: int):
         self.rows = rows + [[0] * (ncols + 1)]
-        self.dens = dens + [1]
+        self.D = 1
         self.m = len(rows)
         self.ncols = ncols
         self.basis: list[int] = []
 
-    def set_objective(self, cost: list[int], den: int) -> None:
-        """Recompute the reduced-cost row of cost / den for the current basis."""
-        obj = cost + [0]
-        for r, bv in enumerate(self.basis):
-            # a basic column is 1 in its row, so that row's entry is its denominator
-            obj, den = reduce_row(obj, den, self.rows[r], self.dens[r], bv)
+    def set_objective(self, cost: list[int]) -> None:
+        """The reduced-cost row of the int costs for the current basis: D*c
+        minus c_B times the rows, over D times the costs' denominator."""
+        obj = [self.D * c for c in cost] + [0]
+        for row, bv in zip(self.rows, self.basis):
+            f = cost[bv]
+            if f:
+                obj = [o - f * v for o, v in zip(obj, row)]
         self.rows[self.m] = obj
-        self.dens[self.m] = den
 
     def pivot(self, row: int, col: int) -> None:
-        pivot(self.rows, self.dens, row, col)
+        self.D = pivot(self.rows, self.D, row, col)
         self.basis[row] = col
 
     def drop_rows(self, keep: list[int]) -> None:
-        keep = keep + [self.m]
-        self.rows = [self.rows[r] for r in keep]
-        self.dens = [self.dens[r] for r in keep]
-        self.basis = [self.basis[r] for r in keep[:-1]]
+        self.rows = [self.rows[r] for r in keep + [self.m]]
+        self.basis = [self.basis[r] for r in keep]
         self.m = len(self.basis)
 
     def run(self, allowed: int) -> str:
@@ -91,8 +93,8 @@ class _Tableau:
             enter = next((j for j in range(allowed) if obj[j] < 0), None)
             if enter is None:
                 return OPTIMAL
-            # A row's denominator cancels from its ratio rhs/coef, so ratios
-            # compare by cross-multiplying numerators.
+            # The common denominator cancels from a ratio rhs/coef, so
+            # ratios compare by cross-multiplying numerators.
             best_row = -1
             best_rhs = best_coef = 0
             for r in range(m):
@@ -154,33 +156,38 @@ def solve_standard(
     cost: Sequence[Fraction],
 ) -> SimplexResult:
     """Minimize cost.x subject to a_rows x = b, x >= 0."""
-    m = len(a_rows)
-    n = len(cost)
-    costs, cost_den = int_row(cost)
-    inputs: list[list[int]] = []   # row i: [A_i | b_i] times dens[i]
+    scaled = [int_row([*a_rows[i], b[i]]) for i in range(len(a_rows))]
+    return solve_int([r for r, _ in scaled], [d for _, d in scaled], *int_row(cost))
+
+
+def solve_int(
+    inputs: Sequence[list[int]], dens: Sequence[int], costs: list[int], cost_den: int
+) -> SimplexResult:
+    """Minimize (costs / cost_den).x subject to A x = b, x >= 0, where row i
+    of [A | b] is inputs[i] / dens[i] > 0; the inputs are not modified."""
+    m = len(inputs)
+    n = len(costs)
     rows: list[list[int]] = []
-    dens: list[int] = []
     signs = [1] * m
-    for i in range(m):
-        if len(a_rows[i]) != n:
+    for i, row in enumerate(inputs):
+        if len(row) != n + 1:
             raise ValueError("row length does not match cost length")
-        row, den = int_row([*a_rows[i], b[i]])
-        inputs.append(row)
         if row[n] < 0:
             row = [-v for v in row]
             signs[i] = -1
-        rows.append(row[:n] + [den if k == i else 0 for k in range(m)] + row[n:])
-        dens.append(den)
+        rows.append(row[:n] + [int(k == i) for k in range(m)] + row[n:])
 
-    t = _Tableau(rows, dens, n + m)
+    t = _Tableau(rows, n + m)
     t.basis = [n + i for i in range(m)]
-    t.set_objective([0] * n + [1] * m, 1)
+    scale = lcm(*dens)
+    t.set_objective([0] * n + [scale // d for d in dens])
     if t.run(n + m) != OPTIMAL:
         raise LinprogError("phase 1 is bounded below by 0 but came back unbounded")
-    obj, den = t.rows[t.m], t.dens[t.m]
+    obj, den = t.rows[t.m], scale * t.D
     if obj[n + m] < 0:
-        # y_i = 1 - reduced cost of the i-th artificial column.
-        farkas = tuple(Fraction(signs[i] * (den - obj[n + i]), den) for i in range(m))
+        # y_i = 1 - the textbook reduced cost of artificial i, which is
+        # dens[i] * obj[n + i] / (scale * D) here.
+        farkas = tuple(Fraction(signs[i] * (den - dens[i] * obj[n + i]), den) for i in range(m))
         _check_farkas(inputs, dens, farkas, n)
         return SimplexResult(INFEASIBLE, farkas=farkas)
 
@@ -196,13 +203,13 @@ def solve_standard(
     if len(keep) != t.m:
         t.drop_rows(keep)
 
-    t.set_objective(costs + [0] * m, cost_den)
+    t.set_objective(costs + [0] * m)
     if t.run(n) == UNBOUNDED:  # artificial columns may never re-enter
         return SimplexResult(UNBOUNDED)
     x = [ZERO] * n
     for r, bv in enumerate(t.basis):
         if bv < n:
-            x[bv] = Fraction(t.rows[r][n + m], t.dens[r])
-    value = Fraction(-t.rows[t.m][n + m], t.dens[t.m])
+            x[bv] = Fraction(t.rows[r][n + m], t.D)
+    value = Fraction(-t.rows[t.m][n + m], t.D * cost_den)
     _check_optimal(inputs, costs, cost_den, tuple(x), value)
     return SimplexResult(OPTIMAL, x=tuple(x), value=value)

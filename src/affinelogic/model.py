@@ -108,12 +108,11 @@ class FiniteStructure:
 
     def is_first_order(self) -> bool:
         """True when the metric and every relation take values in {0, 1}."""
-        two = {ZERO, ONE}
-        if any(d not in two for row in self.metric for d in row):
-            return False
-        return all(
-            v in two for rel in self.relations.values() for v in rel.table.values()
+        values = itertools.chain(
+            itertools.chain.from_iterable(self.metric),
+            *(rel.table.values() for rel in self.relations.values()),
         )
+        return all(v.denominator == 1 and 0 <= v.numerator <= 1 for v in values)
 
 
 @dataclass(frozen=True)
@@ -451,23 +450,34 @@ def automorphisms(M: FiniteStructure) -> list[tuple[int, ...]]:
     for fn in M.functions.values():
         for args, out in fn.table.items():
             due[max(out, *args)].append((fn.table, args, out, True))
+    if m == 0:
+        return [()]
+    # An explicit stack, so no size meets the recursion limit: stack[i]
+    # iterates the candidates for i not tried yet, and perm[i] is the
+    # accepted image of i, or -1.
     perm, used, results = [-1] * m, [False] * m, []
-
-    def extend(i: int) -> None:
-        if i == m:
-            results.append(tuple(perm))
-            return
-        for c in (i,) if i in pinned else free:
+    stack = [iter((0,) if 0 in pinned else free)]
+    while stack:
+        i = len(stack) - 1
+        if perm[i] >= 0:
+            used[perm[i]] = False
+            perm[i] = -1
+        for c in stack[i]:
             if used[c] or d[i][i] != d[c][c] or any(d[i][j] != d[c][perm[j]] for j in range(i)):
                 continue
             perm[i] = c
             if all(table[tuple(map(perm.__getitem__, args))] == (perm[v] if is_fn else v)
                    for table, args, v, is_fn in due[i]):
-                used[c] = True
-                extend(i + 1)
-                used[c] = False
-
-    extend(0)
+                break
+        else:
+            perm[i] = -1
+            stack.pop()
+            continue
+        used[c] = True
+        if i + 1 == m:
+            results.append(tuple(perm))
+        else:
+            stack.append(iter((i + 1,) if i + 1 in pinned else free))
     return results
 
 

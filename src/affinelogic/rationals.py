@@ -8,6 +8,7 @@ always the bit-exact string "p/q".  A file's rationals are exactly
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import FormatError
@@ -38,5 +39,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a Fraction as 'p/q', denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize a Fraction as 'p/q', denominator always present.
+
+    A numerator or denominator longer than Python's int/str conversion
+    limit (sys.get_int_max_str_digits(), 4300 digits by default) raises
+    FormatError naming the limit.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(
+            f"cannot write a rational whose numerator or denominator has more than "
+            f"{limit} digits, Python's int/str conversion limit"
+        ) from None

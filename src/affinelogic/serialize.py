@@ -57,6 +57,15 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _arity(value, name: str) -> int:
+    """A relation's or function's arity: a JSON integer of at least 1, the
+    arities formulas can use (see SymbolInfo)."""
+    arity = _int(value, f"arity of {name!r}")
+    if arity < 1:
+        raise FormatError(f"arity of {name!r} must be at least 1, got {arity}")
+    return arity
+
+
 # A key: canonical indices (ASCII digits, no sign, space, '_' or leading
 # zero) joined by commas, or "" for arity 0.
 _INDEX = r"(?:0|[1-9][0-9]*)"
@@ -101,11 +110,11 @@ def signature_from_dict(data: Mapping) -> Signature:
     return Signature(
         frozenset(data.get("constants", [])),
         {
-            k: SymbolInfo(_int(v["arity"], f"arity of {k!r}"), parse_rational(v["lambda"]))
+            k: SymbolInfo(_arity(v["arity"], k), parse_rational(v["lambda"]))
             for k, v in data.get("functions", {}).items()
         },
         {
-            k: SymbolInfo(_int(v["arity"], f"arity of {k!r}"), parse_rational(v["lambda"]))
+            k: SymbolInfo(_arity(v["arity"], k), parse_rational(v["lambda"]))
             for k, v in data.get("relations", {}).items()
         },
     )
@@ -165,14 +174,14 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
     constants = {k: elem(v) for k, v in data.get("constants", {}).items()}
     functions = {}
     for name, spec in data.get("functions", {}).items():
-        arity = _int(spec["arity"], f"arity of {name!r}")
+        arity = _arity(spec["arity"], name)
         table = {
             _parse_key(k, arity): elem(v) for k, v in spec["table"].items()
         }
         functions[name] = FunctionInterp(arity, parse_rational(spec["lambda"]), table)
     relations = {}
     for name, spec in data.get("relations", {}).items():
-        arity = _int(spec["arity"], f"arity of {name!r}")
+        arity = _arity(spec["arity"], name)
         table = {
             _parse_key(k, arity): parse_rational(v) for k, v in spec["table"].items()
         }
@@ -186,8 +195,10 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
 
 
 def save_structure(M: FiniteStructure, path: str) -> None:
+    # encoded first, so a value that cannot be written leaves the file as it was
+    data = structure_to_dict(M)
     with open(path, "w") as fh:
-        json.dump(structure_to_dict(M), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

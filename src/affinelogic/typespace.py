@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
-from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_standard
+from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int, solve_standard
 from .model import FiniteStructure, eval_table
 from .syntax import Condition, Formula, free_vars
 
@@ -280,16 +280,22 @@ def extreme_points(hull: TypeHull) -> ExtremeReport:
     if hull._extreme is not None:
         return hull._extreme
     values = hull.vertex_values()
-    dim = len(hull.family)
+    k = len(values)
+    # Each coordinate as int numerators over its lcm, once per hull.  The
+    # LP of vertex i has one row per coordinate (the other vertices' entries,
+    # then vertex i's as the right-hand side, over that same lcm) and the
+    # convexity row.
+    columns = [linalg.int_row(col) for col in zip(*values)]
+    dens = [den for _, den in columns] + [1]
+    convexity = [1] * k
+    no_cost = [0] * (k - 1)
     extreme: list[ExtremeVertex] = []
     non_extreme: list[NonExtremeVertex] = []
-    for i, v in enumerate(values):
-        others = [u for j, u in enumerate(values) if j != i]
-        other_idx = [j for j in range(len(values)) if j != i]
-        rows = [[u[c] for u in others] for c in range(dim)]
-        rows.append([ONE] * len(others))
-        rhs = list(v) + [ONE]
-        res = solve_standard(rows, rhs, [ZERO] * len(others))
+    for i in range(k):
+        other_idx = [j for j in range(k) if j != i]
+        inputs = [nums[:i] + nums[i + 1:] + [nums[i]] for nums, _ in columns]
+        inputs.append(convexity)
+        res = solve_int(inputs, dens, no_cost, 1)
         if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
             weights = {
                 other_idx[j]: w for j, w in enumerate(res.x) if w != 0
@@ -297,8 +303,8 @@ def extreme_points(hull: TypeHull) -> ExtremeReport:
             non_extreme.append(NonExtremeVertex(i, weights))
         else:
             y = res.farkas
-            coeffs = tuple(y[:dim])
-            offset = y[dim]
+            coeffs = tuple(y[:-1])
+            offset = y[-1]
             extreme.append(ExtremeVertex(i, offset, coeffs))
     report = ExtremeReport(tuple(extreme), tuple(non_extreme))
     hull._extreme = report

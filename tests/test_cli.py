@@ -624,6 +624,7 @@ def _lp_fails_its_recheck(*args):
 @pytest.mark.parametrize("solve", [_lp_unbounded, _lp_fails_its_recheck])
 def test_failed_internal_recheck_exits_3(capsys, work, monkeypatch, solve):
     monkeypatch.setattr(typespace, "solve_standard", solve)
+    monkeypatch.setattr(typespace, "solve_int", solve)
     code, out, err = run(capsys, [
         "types", "extreme", "--structure", work["fo"], "--family", work["family_fo"],
     ])
@@ -730,6 +731,21 @@ def test_duplicate_element_label_is_a_usage_error(capsys, work):
     code, out, err = run(capsys, ["eval", "mu(x)", "--structure", str(path), "--assign", f"x={label}"])
     _assert_one_error_line(code, out, err)
     assert err == f"error: duplicate element label {label!r}\n"
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("relations", {"arity": 0, "lambda": "1/1", "table": {"": "1/2"}}),
+    ("functions", {"arity": 0, "lambda": "1/1", "table": {"": 0}}),
+])
+def test_arity_zero_symbol_is_rejected_at_load(capsys, work, kind, spec):
+    # formulas cannot use it, so the file is refused where it is read
+    data = json.loads(open(work["alg"]).read())
+    data.setdefault(kind, {})["Z"] = spec
+    path = work["tmp"] / "nullary.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["automorphisms", "--structure", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == "error: arity of 'Z' must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("text", ["[1]", "{", "\udcff"])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic import definability
 from affinelogic.definability import (
@@ -11,6 +11,7 @@ from affinelogic.definability import (
     DefinabilityError,
     DistanceAxiomReport,
     FunctionTable,
+    GraphIdentityReport,
     PredicateTable,
     ProjectionReport,
     _normalize_set,
@@ -28,6 +29,7 @@ from affinelogic.definability import (
     lambda_domination,
     predicate_from_formula,
     pushforward,
+    validate_function_table,
     validate_predicate,
     zeroset_recover,
 )
@@ -420,6 +422,103 @@ def test_inf_over_definable_matches_fraction_reference(case):
     assert new == _outcome(_ref_inf_over_definable, M, D, P, lam, n)
     if not isinstance(new, str):
         assert all(type(v) is F for v in new.table.values.values())
+
+
+# Fraction references for the function-table checks, as they were before
+# they read the int metric.  Bodies verbatim; only the names carry a _ref_
+# prefix.
+
+
+def _ref_validate_function_table(M, f):
+    expected = set(itertools.product(range(M.size), repeat=f.arity_in))
+    if set(f.table) != expected:
+        raise DefinabilityError("function table must cover every input tuple")
+    for args, out in f.table.items():
+        if len(out) != f.arity_out:
+            raise DefinabilityError(f"output arity mismatch at {args}")
+        if any(not 0 <= x < M.size for x in out):
+            raise DefinabilityError(f"output out of range at {args}")
+    # All pairs: M is not validated here, and reducing to neighbour pairs
+    # for tuple-valued outputs needs the triangle inequality of its metric.
+    for a in expected:
+        for b in expected:
+            if M.tuple_distance(f.table[a], f.table[b]) > f.lam * M.tuple_distance(a, b):
+                raise DefinabilityError(
+                    f"function table violates its declared constant at {a}, {b}"
+                )
+
+
+def _ref_check_graph_identities(M, f):
+    graph = function_graph(M, f)
+    dist = distance_predicate(M, graph, f.arity_in + f.arity_out)
+    xs = _tuples(M, f.arity_in)
+    ys = _tuples(M, f.arity_out)
+    forward = all(
+        dist.values[x + y]
+        == min(M.tuple_distance(x, u) + M.tuple_distance(f.table[u], y) for u in xs)
+        for x in xs
+        for y in ys
+    )
+    backward = all(
+        M.tuple_distance(f.table[x], y)
+        == min(dist.values[x + v] + M.tuple_distance(v, y) for v in ys)
+        for x in xs
+        for y in ys
+    )
+    return GraphIdentityReport(forward, backward)
+
+
+@st.composite
+def _function_cases(draw):
+    """A function table of arity 0-2 into arity 0-2 on 1-4 points (at most
+    16 input or output tuples): random, a projection (nonexpansive) or
+    constant outputs, one in ten draws with an output of the wrong length;
+    lam from zero, halves, sevenths and integers.  The metric is a random
+    metric or, since validate_function_table does not validate M, an
+    asymmetric one that keeps the triangle inequality, or drawn values,
+    negative ones included."""
+    M = _any_metric_space(draw)
+    m = M.size
+    kind = draw(st.sampled_from(["metric", "quasi", "values"]))
+    if kind != "metric":
+        d = [[draw(_VALUES) for _ in range(m)] for _ in range(m)]
+        if kind == "quasi":  # asymmetric, closed under the triangle inequality
+            d = [[ZERO if i == j else abs(d[i][j]) for j in range(m)] for i in range(m)]
+            for k, i, j in itertools.product(range(m), repeat=3):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        M = FiniteStructure(M.elements, tuple(map(tuple, d)), {}, {}, {})
+    arity_in = draw(st.integers(0, 2))
+    arity_out = draw(st.integers(0, 2))
+    inputs = list(itertools.product(range(m), repeat=arity_in))
+    outputs = list(itertools.product(range(m), repeat=arity_out))
+    shape = draw(st.sampled_from(["random", "projection", "constant"]))
+    if shape == "projection" and arity_out <= arity_in:
+        table = {a: a[:arity_out] for a in inputs}
+    elif shape == "constant":
+        table = dict.fromkeys(inputs, draw(st.sampled_from(outputs)))
+    else:
+        table = {a: draw(st.sampled_from(outputs)) for a in inputs}
+    if draw(st.integers(0, 9)) == 0:
+        table[draw(st.sampled_from(inputs))] = (0,) * (arity_out + 1)
+    lam = draw(st.sampled_from([ZERO, F(1, 2), ONE, F(9, 7), F(2), F(4)]))
+    return M, FunctionTable(arity_in, arity_out, lam, table)
+
+
+# d(p, q) = 1/2 but d(q, p) = 1: the constant map's backward identity holds
+# when read as d(v, y), as tuple_distance reads it, and fails as d(y, v)
+_ORIENTED = (
+    FiniteStructure(("p", "q"), ((ZERO, F(1, 2)), (ONE, ZERO)), {}, {}, {}),
+    FunctionTable(1, 1, ONE, {(0,): (0,), (1,): (0,)}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_function_cases())
+@example(_ORIENTED)
+def test_function_table_checks_match_fraction_reference(case):
+    M, f = case
+    assert _outcome(validate_function_table, M, f) == _outcome(_ref_validate_function_table, M, f)
+    assert _outcome(check_graph_identities, M, f) == _outcome(_ref_check_graph_identities, M, f)
 
 
 # ---------------------------------------------------------------------------

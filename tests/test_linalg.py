@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -190,3 +191,60 @@ def test_gauss_solve_matches_fraction_elimination(system):
     assert (sol.consistent, sol.x, sol.free_count, sol.combination) == expected
     homogeneous = _reference_gauss_solve(rows, [F(0)] * len(rows))
     assert matrix_rank(rows) == len(rows[0]) - homogeneous[2]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free pivot: one common denominator, |det| of the basis
+
+
+def test_pivot_denominator_is_the_basis_determinant():
+    # [B | I] with B = [[2, 1], [1, 3]], det 5: the rows end as 5 * B^-1 [B | I]
+    rows = [[2, 1, 1, 0], [1, 3, 0, 1]]
+    D = linalg.pivot(rows, 1, 0, 0)
+    assert (rows, D) == ([[2, 1, 1, 0], [0, 5, -1, 2]], 2)
+    D = linalg.pivot(rows, D, 1, 1)
+    assert (rows, D) == ([[5, 0, 3, -1], [0, 5, -1, 2]], 5)
+
+
+def test_negative_pivot_negates_and_keeps_the_denominator_positive():
+    # B = [[-2, 1], [1, 3]], det -7: the pivot row is negated, D stays > 0
+    rows = [[-2, 1, 1, 0], [1, 3, 0, 1]]
+    D = linalg.pivot(rows, 1, 0, 0)
+    assert (rows, D) == ([[2, -1, -1, 0], [0, 7, 1, 2]], 2)
+    D = linalg.pivot(rows, D, 1, 1)
+    assert (rows, D) == ([[7, 0, -3, 1], [0, 7, 1, 2]], 7)
+    # 7 * B^-1 = [[-3, 1], [1, 2]]: the identity block holds it exactly
+    B = [[F(-2), F(1)], [F(1), F(3)]]
+    for i in range(2):
+        for j in range(2):
+            assert sum(F(rows[i][2 + k], D) * B[k][j] for k in range(2)) == (i == j)
+
+
+def _det(matrix):
+    """Leibniz expansion: the sum over permutations of signed products."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= matrix[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=4)
+))
+def test_row_reduce_denominator_is_the_pivot_minor(rows):
+    # D is |det| of the pivoted input rows and columns; every entry an int
+    original = [list(r) for r in rows]
+    pivots, D, order = linalg._row_reduce(rows, len(rows[0]))
+    cols = [c for _, c in pivots]
+    minor = [[original[order[k]][c] for c in cols] for k in range(len(pivots))]
+    assert D == abs(_det(minor)) > 0
+    assert sorted(order) == list(range(len(rows)))
+    for r, c in pivots:
+        assert rows[r][c] == D and all(rows[i][c] == 0 for i in range(len(rows)) if i != r)
+    assert all(not any(row) for row in rows[len(pivots):])

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelogic import linprog
 from affinelogic.linalg import gauss_solve, int_row
 from affinelogic.linprog import (
     INFEASIBLE,
@@ -274,6 +275,55 @@ def test_simplex_matches_fraction_tableau(lp):
     rows, b, cost = lp
     res = solve_standard(rows, b, cost)
     assert (res.status, res.x, res.value, res.farkas) == _reference_solve(rows, b, cost)
+
+
+def _recording_pivots(monkeypatch):
+    """Patch the tableau's kernel to log (pivot entry, denominator it returns)."""
+    log = []
+    kernel = linprog.pivot
+
+    def pivot(rows, D, r, col):
+        entry = rows[r][col]
+        D = kernel(rows, D, r, col)
+        log.append((entry, D))
+        return D
+
+    monkeypatch.setattr(linprog, "pivot", pivot)
+    return log
+
+
+def test_negative_drive_out_pivot(monkeypatch):
+    # Phase 1 ends with an artificial basic at level 0 whose row's first
+    # nonzero is negative; driving it out pivots on -2, then phase 2 pivots
+    # once more over the kept denominator.
+    log = _recording_pivots(monkeypatch)
+    rows, b, cost = [[F(2), F(2), F(1)], [F(0), F(-1), F(1)]], [F(2), F(2)], [F(1), F(-1), F(0)]
+    res = solve_standard(rows, b, cost)
+    assert (res.status, res.x, res.value, res.farkas) == _reference_solve(rows, b, cost)
+    assert (res.x, res.value) == ((F(0), F(0), F(2)), F(0))
+    assert log == [(2, 2), (1, 1), (-2, 2), (3, 3)]
+
+
+def test_redundant_row_is_dropped(monkeypatch):
+    # row 1 is row 0 times 2, written over another denominator (6 and 3)
+    log = _recording_pivots(monkeypatch)
+    dropped = []
+    drop_rows = linprog._Tableau.drop_rows
+    monkeypatch.setattr(linprog._Tableau, "drop_rows",
+                        lambda t, keep: dropped.append(keep) or drop_rows(t, keep))
+    rows, b, cost = [[F(1, 2), F(1, 3)], [F(1), F(2, 3)]], [F(1), F(2)], [F(1), F(2)]
+    res = solve_standard(rows, b, cost)
+    assert (res.status, res.x, res.value, res.farkas) == _reference_solve(rows, b, cost)
+    assert (res.x, res.value) == ((F(2), F(0)), F(2))
+    assert dropped == [[0]] and log == [(3, 3)]
+
+
+def test_farkas_over_rows_of_different_denominators():
+    # x + y = 1 and x/2 + y/2 = 1 over denominators 1 and 2 (L = 2)
+    rows, b, cost = [[F(1), F(1)], [F(1, 2), F(1, 2)]], [F(1), F(1)], [F(0), F(0)]
+    res = solve_standard(rows, b, cost)
+    assert (res.status, res.x, res.value, res.farkas) == _reference_solve(rows, b, cost)
+    assert res.farkas == (F(-1, 2), F(1))
 
 
 def test_certificate_checks_reject_wrong_outcomes():

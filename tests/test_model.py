@@ -442,6 +442,18 @@ def test_automorphisms_of_addition_mod_8():
     assert automorphisms(M) == [tuple(k * x % m for x in range(m)) for k in (1, 3, 5, 7)]
 
 
+def test_automorphisms_need_no_recursion():
+    # one search step per element: 1,200 named points would pass the
+    # default recursion limit of 1,000 if each step were a call
+    m = 1200
+    row = (ONE,) * m
+    metric = tuple(row[:i] + (ZERO,) + row[i + 1:] for i in range(m))
+    M = FiniteStructure(
+        tuple(f"e{i}" for i in range(m)), metric, {f"c{i}": i for i in range(m)}
+    )
+    assert automorphisms(M) == [tuple(range(m))]
+
+
 def test_automorphism_preserves_formula_values():
     M = build_algebra([F(1, 4), F(1, 4), F(1, 2)]).to_structure()
     sig = M.signature()
@@ -467,6 +479,22 @@ def test_first_order_flag():
 
     N = random_first_order_structure(rng, 3)
     assert N.is_first_order()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_structures(), st.sampled_from([ZERO, ONE, F(1, 2), F(2), F(-1)]))
+def test_first_order_flag_matches_set_membership(M, value):
+    # the flag as it was: every metric and relation value in the set {0, 1}
+    if M.relations:  # one relation entry overwritten
+        name = sorted(M.relations)[0]
+        table = dict(M.relations[name].table)
+        table[next(iter(table))] = value
+        M.relations[name] = RelationInterp(M.relations[name].arity, ONE, table)
+    two = {ZERO, ONE}
+    expected = all(d in two for row in M.metric for d in row) and all(
+        v in two for rel in M.relations.values() for v in rel.table.values()
+    )
+    assert M.is_first_order() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +40,21 @@ def test_rational_formatting():
     for value in (1, 0.5, None, [1, 2]):
         with pytest.raises(ValueError, match="malformed rational"):
             parse_rational(value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int/str conversion limit")
+def test_rational_past_the_int_str_limit_is_a_format_error(tmp_path):
+    huge = F(1, 10**5000)
+    limit = str(sys.get_int_max_str_digits())
+    with pytest.raises(FormatError, match=limit):
+        format_rational(huge)
+    M = build_algebra([huge, 1 - huge]).to_structure()
+    path = tmp_path / "huge.json"
+    path.write_text("kept")
+    with pytest.raises(FormatError, match=limit):
+        save_structure(M, str(path))
+    assert path.read_text() == "kept"
 
 
 def _ascii_digits(part):

@@ -4,16 +4,23 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
 from affinelogic.model import FiniteStructure, RelationInterp, eval_table
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_hull_structure
-from affinelogic.syntax import parse_condition, parse_condition_line, parse_formula
+from affinelogic.syntax import Apply, Var, parse_condition, parse_condition_line, parse_formula
 from affinelogic.typespace import (
     BoundaryMeasure,
     DecompositionError,
+    ExtremeReport,
+    ExtremeVertex,
     FormulaFamily,
+    NonExtremeVertex,
     NotAffineError,
+    TypeHull,
+    TypeVector,
     TypespaceError,
+    _lp_status,
     affine_satisfiable,
     barycenter,
     exposed_face,
@@ -119,6 +126,75 @@ def test_extreme_points_with_certificates(algebra_hull):
     (ne,) = report.non_extreme
     assert ne.index == by_value[F(1, 2)]
     assert ne.weights == {by_value[ZERO]: F(1, 2), by_value[ONE]: F(1, 2)}
+
+
+# The classification as it was before each hull's coordinates were scaled
+# to int columns once: Fraction rows per vertex through solve_standard.
+# Body verbatim; only the name carries a _ref_ prefix.
+
+
+def _ref_extreme_points(hull: TypeHull) -> ExtremeReport:
+    if hull._extreme is not None:
+        return hull._extreme
+    values = hull.vertex_values()
+    dim = len(hull.family)
+    extreme: list[ExtremeVertex] = []
+    non_extreme: list[NonExtremeVertex] = []
+    for i, v in enumerate(values):
+        others = [u for j, u in enumerate(values) if j != i]
+        other_idx = [j for j in range(len(values)) if j != i]
+        rows = [[u[c] for u in others] for c in range(dim)]
+        rows.append([ONE] * len(others))
+        rhs = list(v) + [ONE]
+        res = solve_standard(rows, rhs, [ZERO] * len(others))
+        if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
+            weights = {
+                other_idx[j]: w for j, w in enumerate(res.x) if w != 0
+            }
+            non_extreme.append(NonExtremeVertex(i, weights))
+        else:
+            y = res.farkas
+            coeffs = tuple(y[:dim])
+            offset = y[dim]
+            extreme.append(ExtremeVertex(i, offset, coeffs))
+    report = ExtremeReport(tuple(extreme), tuple(non_extreme))
+    hull._extreme = report
+    return report
+
+
+_COORD = st.builds(F, st.integers(-3, 6), st.integers(1, 6))
+
+
+@st.composite
+def _vertex_lists(draw):
+    """1-6 drawn points in 1-4 coordinates, then up to 4 more that repeat a
+    point, lie on the line through two points or in the plane through
+    three, at shuffled positions."""
+    dim = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b, c = (draw(st.sampled_from(points)) for _ in range(3))
+        s, t = (draw(st.sampled_from([F(-1), F(1, 3), F(1, 2), F(2)])) for _ in range(2))
+        kind = draw(st.sampled_from(["repeat", "collinear", "coplanar"]))
+        if kind == "repeat":
+            p = a
+        elif kind == "collinear":
+            p = tuple(x + s * (y - x) for x, y in zip(a, b))
+        else:
+            p = tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c))
+        points.insert(draw(st.integers(0, len(points))), p)
+    return points
+
+
+def _hull_of(points):
+    family = FormulaFamily(("x",), tuple(Apply(f"R{c}", (Var("x"),)) for c in range(len(points[0]))))
+    return TypeHull(None, family, tuple(TypeVector(family, p) for p in points), (), False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vertex_lists())
+def test_extreme_points_match_fraction_rows(points):
+    assert extreme_points(_hull_of(points)) == _ref_extreme_points(_hull_of(points))
 
 
 def test_exposed_face_of_mu(algebra_hull):
@@ -368,6 +444,7 @@ def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
     q = realized_type(M, (1,), family)
     hull = type_hull(M, 1, family)
     monkeypatch.setattr(typespace, "solve_standard", lambda *args: SimplexResult(UNBOUNDED))
+    monkeypatch.setattr(typespace, "solve_int", lambda *args: SimplexResult(UNBOUNDED))
     with pytest.raises(TypespaceError, match="unbounded"):
         extreme_points(hull)
     with pytest.raises(TypespaceError, match="unbounded"):
