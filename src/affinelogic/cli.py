@@ -473,8 +473,15 @@ def cmd_def_distance_axioms(args) -> int:
         payload[label] = {"ok": check.ok}
         line = f"{label}: {'ok' if check.ok else 'FAIL'}"
         if not check.ok and check.witness is not None:
-            payload[label]["witness"] = repr(check.witness)
-            line += f" at {check.witness}"
+            # (a,) or (a, b) tuples; approachability's is (a, (r0, r1))
+            if label == "approachable":
+                a, farkas = check.witness
+                witness = {"point": _labels(M, a), "farkas": [_fmt(r) for r in farkas]}
+                line += f" at {witness['point']}, Farkas pair ({', '.join(witness['farkas'])})"
+            else:
+                witness = [_labels(M, a) for a in check.witness]
+                line += f" at {' '.join(witness)}"
+            payload[label]["witness"] = witness
         lines.append(line)
     _emit(args, payload, lines)
     return OK if rep.ok else CHECK_FALSE

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
-from .model import FiniteStructure, automorphisms, eval_table, int_metric, neighbour_pairs
+from .model import FiniteStructure, automorphisms, eval_table, neighbour_pairs
 from .typespace import FormulaFamily, TypeVector, factor_table_through_family
 
 ZERO = Fraction(0)
@@ -69,7 +69,7 @@ def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
     # All pairs: M is not validated here, and reducing to neighbour pairs
     # for tuple-valued outputs needs the triangle inequality of its metric.
     # Tuple distances are int sums over the metric's common denominator.
-    d, _ = int_metric(M)
+    d, _ = M.int_metric
     lam_num, lam_den = f.lam.as_integer_ratio()
     for a in expected:
         fa = f.table[a]
@@ -127,7 +127,7 @@ def _sums(rows: Sequence[Sequence[int]], a: tuple[int, ...]) -> Sequence[int]:
     return out
 
 
-def _set_distances(d: list[list[int]], tuples) -> list[int]:
+def _set_distances(d: Sequence[Sequence[int]], tuples) -> list[int]:
     """Int numerators, over the denominator of the int metric d, of the
     distance from each tuple (in the order of `_tuples`) to the nonempty
     set `tuples`: an int min over the members."""
@@ -145,19 +145,18 @@ def distance_predicate(
     """Distance-to-D table in the sum metric on tuples.
 
     Each cell is an int min of int sums over the metric's common
-    denominator (see `int_metric`); a Fraction is built only per returned
-    value.  For empty D the result is the constant sup of the tuple metric
-    (n times the diameter), the value of an infimum over nothing in this
-    calculus.
+    denominator (see `FiniteStructure.int_metric`); a Fraction is built
+    only per distinct returned value.  For empty D the result is the
+    constant sup of the tuple metric (n times the diameter), the value of
+    an infimum over nothing in this calculus.
     """
     tuples, n = _normalize_set(D, n)
     if not tuples:
         top = Fraction(n) * M.diameter()
         return PredicateTable(n, {a: top for a in _tuples(M, n)})
-    d, den = int_metric(M)
+    d, den = M.int_metric
     nums = _set_distances(d, tuples)
-    cell = {v: Fraction(v, den) for v in set(nums)}
-    return PredicateTable(n, dict(zip(_tuples(M, n), [cell[v] for v in nums])))
+    return PredicateTable(n, dict(zip(_tuples(M, n), linalg.fractions_over(nums, den))))
 
 
 @dataclass
@@ -201,7 +200,7 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
     """
     validate_predicate(M, P)
     tuples = _tuples(M, P.arity)
-    d, D = int_metric(M)
+    d, D = M.int_metric
     nums, den = linalg.int_row([P.values[a] for a in tuples])
     L = math.lcm(den, D)
     p = [v * (L // den) for v in nums]
@@ -428,7 +427,7 @@ def inf_over_definable(
     makes the penalty form with lam * distance-to-D agree with
     the direct minimum.  The scan, the minimum and the identity compare
     int numerators: P over its common denominator, the metric over its own
-    (see `int_metric`), cross-multiplied with lam.
+    (see `FiniteStructure.int_metric`), cross-multiplied with lam.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -442,7 +441,7 @@ def inf_over_definable(
         raise DefinabilityError("P arity must be at least the set arity")
     xs = _tuples(M, m)
     ys = _tuples(M, n)
-    d, D = int_metric(M)
+    d, D = M.int_metric
     nums, den = linalg.int_row(list(P.values.values()))
     pv = dict(zip(P.values, nums))
     # |P(x, y1) - P(x, y2)| > lam * d(u, v), times den * lam.denominator * D
@@ -506,10 +505,10 @@ def check_graph_identities(M: FiniteStructure, f: FunctionTable) -> GraphIdentit
     """Exact table check of the two distance-to-graph identities.
 
     Every distance is an int numerator over the common denominator of the
-    int metric (see `int_metric`), as in `distance_predicate`.
+    int metric (see `FiniteStructure.int_metric`), as in `distance_predicate`.
     """
     graph, _ = _normalize_set(function_graph(M, f), f.arity_in + f.arity_out)
-    d, _ = int_metric(M)
+    d, _ = M.int_metric
     xs = _tuples(M, f.arity_in)
     ys = _tuples(M, f.arity_out)
     ny = len(ys)

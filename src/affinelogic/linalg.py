@@ -35,6 +35,13 @@ def int_row(values: Sequence) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
+def fractions_over(nums: Sequence[int], den: int) -> list[Fraction]:
+    """The inverse of int_row: nums[i] / den as Fractions, one Fraction built
+    per distinct numerator (tables repeat few values over many cells)."""
+    memo = {n: Fraction(n, den) for n in set(nums)}
+    return [memo[n] for n in nums]
+
+
 def pivot(rows: list[list[int]], D: int, r: int, col: int) -> int:
     """Gauss-Jordan pivot on entry (r, col) of the rows over D, in place.
 

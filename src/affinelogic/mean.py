@@ -10,12 +10,13 @@ equals the mu-weighted average of its values in the factors, exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import AffineLogicError
-from .linalg import int_row
+from .linalg import fractions_over, int_row
 from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula
 from .syntax import Formula, free_vars
 
@@ -112,32 +113,30 @@ def build_ultramean(
             index[key] = len(reps)
             reps.append(raw)
 
-    # Every stored value is sum_i mu_i * v_i over the support, accumulated as
-    # an int numerator over wden * lcm(denominators of the v_i) and turned
-    # into one Fraction per entry.
+    # Every stored value is sum_i mu_i * v_i over the support, accumulated
+    # from the factors' int forms as an int numerator over wden * lcm(their
+    # denominators), with one Fraction per distinct numerator.
     w, wden = int_row([mu.weights[i] for i in support])
-    weight = dict(zip(support, w))
-
-    def scaled(tables) -> tuple[int, list[dict]]:
-        nums, den = int_row([v for t in tables for v in t.values()])
-        it = iter(nums)
-        return den, [{k: next(it) for k in t} for t in tables]
-
-    dden, dist = scaled([
-        {(x, y): d for x, row in enumerate(structures[i].metric) for y, d in enumerate(row)}
-        for i in support
-    ])
     size = len(reps)
+
+    def weighted(forms) -> tuple[list[int], int]:
+        """Int multipliers for the support factors' (nums, den) forms, each
+        mu_i * wden * lcm(dens) / den_i, and the common denominator
+        wden * lcm(dens) of the weighted sums."""
+        den = math.lcm(*[d for _, d in forms])
+        return [wi * (den // d) for wi, (_, d) in zip(w, forms)], wden * den
+
+    metrics = [structures[i].int_metric for i in support]
+    scale, dden = weighted(metrics)
+    pairs = list(itertools.combinations(range(size), 2))
+    dist = [0] * len(pairs)
+    for i, s, (d, _) in zip(support, scale, metrics):
+        dist = [
+            n + s * d[reps[p][i]][reps[q][i]] for n, (p, q) in zip(dist, pairs)
+        ]
     metric = [[ZERO] * size for _ in range(size)]
-    for p in range(size):
-        a = reps[p]
-        for q in range(p + 1, size):
-            b = reps[q]
-            dpq = Fraction(
-                sum(weight[i] * t[a[i], b[i]] for i, t in zip(support, dist)), wden * dden
-            )
-            metric[p][q] = dpq
-            metric[q][p] = dpq
+    for (p, q), dpq in zip(pairs, fractions_over(dist, dden)):
+        metric[p][q] = metric[q][p] = dpq
 
     labels = tuple(
         "[" + ",".join(M.elements[x] for M, x in zip(structures, rep)) + "]"
@@ -165,16 +164,17 @@ def build_ultramean(
 
     relations: dict[str, RelationInterp] = {}
     for name, info in sigs[0].relations.items():
-        rden, tables = scaled([structures[i].relations[name].table for i in support])
-        table_r: dict[tuple[int, ...], Fraction] = {}
-        for args in itertools.product(range(size), repeat=info.arity):
-            table_r[args] = Fraction(
-                sum(
-                    weight[i] * t[tuple(reps[a][i] for a in args)]
-                    for i, t in zip(support, tables)
-                ),
-                wden * rden,
-            )
+        forms = [structures[i].int_relations[name] for i in support]
+        scale, rden = weighted(forms)
+        keys = list(itertools.product(range(size), repeat=info.arity))
+        nums = [0] * len(keys)
+        for i, s, (t, _) in zip(support, scale, forms):
+            # the factor's row-major index of each key, in key order
+            m, coord, idx = structures[i].size, [rep[i] for rep in reps], [0]
+            for _ in range(info.arity):
+                idx = [j * m + c for j in idx for c in coord]
+            nums = [n + s * t[j] for n, j in zip(nums, idx)]
+        table_r = dict(zip(keys, fractions_over(nums, rden)))
         relations[name] = RelationInterp(info.arity, info.lam, table_r)
 
     quotient = FiniteStructure(

@@ -18,11 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import AffineLogicError
-from .linalg import int_row
+from .linalg import fractions_over, int_row
 from .syntax import (
     METRIC,
     Apply,
@@ -69,7 +70,15 @@ class RelationInterp:
 
 @dataclass
 class FiniteStructure:
-    """Finite metric structure.  Treated as immutable once constructed."""
+    """Finite metric structure.
+
+    Immutable once constructed; int forms cached on first use.  `metric`
+    and the relation tables are the Fraction view.  `int_metric` and
+    `int_relations` are the exact int forms that evaluation and validation
+    compare, each built on its first read and kept on the instance, so a
+    table changed after that read would not be seen.  Nothing is checked at
+    construction: `validate_structure` reports a malformed structure.
+    """
 
     elements: tuple[str, ...]
     metric: tuple[tuple[Fraction, ...], ...]
@@ -105,6 +114,35 @@ class FiniteStructure:
             return self.elements.index(label)
         except ValueError:
             raise StructureError(f"no element labelled {label!r}") from None
+
+    @cached_property
+    def int_metric(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The metric as int numerator rows over its common denominator D > 0:
+        d(i, j) = rows[i][j] / D.
+
+        Comparisons of distances, and of anything else scaled to a multiple
+        of D, are then comparisons of int numerators.  The metric must be
+        m x m.
+        """
+        m = self.size
+        flat, D = int_row([x for row in self.metric for x in row])
+        return tuple(tuple(flat[i:i + m]) for i in range(0, m * m, m)), D
+
+    @cached_property
+    def int_relations(self) -> dict[str, tuple[tuple[int, ...], int]]:
+        """Each relation as (nums, R): int numerators over its common
+        denominator R > 0, row-major like a formula table, so the value at
+        (a_1, ..., a_k) is nums[sum_i a_i * m^(k-i)] / R.
+        """
+        m, out = self.size, {}
+        for name, rel in self.relations.items():
+            try:
+                values = [rel.table[a] for a in itertools.product(range(m), repeat=rel.arity)]
+            except KeyError as e:
+                raise StructureError(f"relation {name!r} has no value at {e.args[0]}") from None
+            nums, R = int_row(values)
+            out[name] = tuple(nums), R
+        return out
 
     def is_first_order(self) -> bool:
         """True when the metric and every relation take values in {0, 1}."""
@@ -158,19 +196,6 @@ def neighbour_pairs(
                     yield a, line[y], x, y
 
 
-def int_metric(M: FiniteStructure) -> tuple[list[list[int]], int]:
-    """The metric as int numerator rows over its common denominator D > 0:
-    d(i, j) = rows[i][j] / D.
-
-    Comparisons of distances, and of anything else scaled to a multiple of
-    D, are then comparisons of int numerators.  Built afresh per call in
-    O(m^2); M.metric must be m x m.
-    """
-    m = M.size
-    flat, D = int_row([x for row in M.metric for x in row])
-    return [flat[i:i + m] for i in range(0, m * m, m)], D
-
-
 def validate_structure(M: FiniteStructure) -> ValidationReport:
     """Check shape, metric axioms, value ranges, and declared Lipschitz bounds.
 
@@ -215,7 +240,7 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
 
     # The axioms and Lipschitz scans compare int numerators: the metric's
     # over its common denominator D, each relation's over its own.
-    d, D = int_metric(M)
+    d, D = M.int_metric
     for i in range(m):
         for j in range(m):
             dij = d[i][j]
@@ -241,11 +266,11 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
 
     scaled = {}
     for name, rel in M.relations.items():
-        nums, R = int_row(list(rel.table.values()))
-        table = dict(zip(rel.table, nums))
-        for args, v in table.items():
-            if v < 0 or v > R:
-                return _fail("relation range", f"relation {name!r} leaves [0, 1]", args)
+        nums, R = M.int_relations[name]
+        table = dict(zip(itertools.product(range(m), repeat=rel.arity), nums))
+        if min(nums) < 0 or max(nums) > R:
+            args = next(a for a in rel.table if not 0 <= table[a] <= R)
+            return _fail("relation range", f"relation {name!r} leaves [0, 1]", args)
         scaled[name] = R, table
     # Exact by the triangle inequality checked above: the outputs along a
     # coordinate path are at most the sum of their step distances apart.
@@ -321,7 +346,10 @@ def _term(M: FiniteStructure, t: Term, dom) -> tuple[tuple[str, ...], list[int]]
     if len(t.args) != fn.arity:
         raise EvalError(f"function {t.name!r} takes {fn.arity} arguments, got {len(t.args)}")
     vs, cols = _join([_term(M, a, dom) for a in t.args], dom)
-    return vs, [fn.table[args] for args in zip(*cols)]
+    try:
+        return vs, [fn.table[args] for args in zip(*cols)]
+    except KeyError as e:
+        raise StructureError(f"function {t.name!r} has no value at {e.args[0]}") from None
 
 
 def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _Table:
@@ -363,10 +391,14 @@ def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _
         if len(cols) != arity:
             raise EvalError(f"{node.symbol!r} takes {arity} arguments, got {len(cols)}")
         if rel is None:
-            vals = [M.metric[a][b] for a, b in zip(*cols)]
-        else:
-            vals = [rel.table[args] for args in zip(*cols)]
-        return (vs, *int_row(vals))
+            d, D = M.int_metric
+            return vs, [d[a][b] for a, b in zip(*cols)], D
+        nums, R = M.int_relations[node.symbol]
+        # _join spread every column to the same cells: fold them row-major
+        m, idx = M.size, cols[0] if cols else [0]
+        for col in cols[1:]:
+            idx = [i * m + a for i, a in zip(idx, col)]
+        return vs, [nums[i] for i in idx], R
     if not isinstance(node, (Inf, Sup)):
         raise TypeError(f"not a formula: {node!r}")
     x, m = node.var, M.size
@@ -399,7 +431,7 @@ def eval_table(
     M: FiniteStructure, phi: Formula, variables: Sequence[str]
 ) -> dict[tuple[int, ...], Fraction]:
     """Evaluate phi at every assignment of `variables`, bottom-up: one table
-    pass per subformula (see _table), Fractions only for the returned cells,
+    pass per subformula (see _table), one Fraction per distinct value,
     keyed in itertools.product order.  A name repeated in `variables` reads
     its first occurrence.
     """
@@ -409,7 +441,7 @@ def eval_table(
         raise EvalError(f"free variables not covered: {sorted(missing)}")
     m = M.size
     vs, nums, den = _table(M, phi, {v: range(m) for v in variables})
-    cells = [Fraction(n, den) for n in nums]
+    cells = fractions_over(nums, den)
     stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
     idx = [0]
     for j, v in enumerate(variables):
@@ -479,7 +511,3 @@ def automorphisms(M: FiniteStructure) -> list[tuple[int, ...]]:
         else:
             stack.append(iter((i + 1,) if i + 1 in pinned else free))
     return results
-
-
-def apply_to_tuple(perm: Sequence[int], a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(perm[x] for x in a)

@@ -22,7 +22,7 @@ from .definability import FunctionTable, PredicateTable
 from .errors import AffineLogicError, FormatError
 from .model import FiniteStructure, FunctionInterp, RelationInterp, validate_structure
 from .rationals import format_rational, parse_rational
-from .syntax import Formula, Signature, SymbolInfo, parse_formula
+from .syntax import Formula, Signature, parse_formula
 from .typespace import FormulaFamily
 
 
@@ -85,39 +85,6 @@ def _parse_key(text: str, arity: int) -> tuple[int, ...]:
     if len(parts) != arity:
         raise FormatError(f"table key {text!r} does not have arity {arity}")
     return parts
-
-
-# ---------------------------------------------------------------------------
-# signatures
-
-
-def signature_to_dict(sig: Signature) -> dict:
-    return {
-        "constants": sorted(sig.constants),
-        "functions": {
-            k: {"arity": v.arity, "lambda": format_rational(v.lam)}
-            for k, v in sorted(sig.functions.items())
-        },
-        "relations": {
-            k: {"arity": v.arity, "lambda": format_rational(v.lam)}
-            for k, v in sorted(sig.relations.items())
-        },
-    }
-
-
-@_decodes("signature")
-def signature_from_dict(data: Mapping) -> Signature:
-    return Signature(
-        frozenset(data.get("constants", [])),
-        {
-            k: SymbolInfo(_arity(v["arity"], k), parse_rational(v["lambda"]))
-            for k, v in data.get("functions", {}).items()
-        },
-        {
-            k: SymbolInfo(_arity(v["arity"], k), parse_rational(v["lambda"]))
-            for k, v in data.get("relations", {}).items()
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .definability import (
     zeroset_recover,
 )
 from .errors import AffineLogicError
-from .linalg import gauss_solve
+from .linalg import _row_reduce, int_row
 from .mean import Ultracharge, check_ultramean_identity
 from .model import FiniteStructure, eval_table
 from .pra import (
@@ -278,7 +278,12 @@ def run_distance_axioms(seed: int = 0, instances: int = 500) -> SuiteResult:
 
 
 def oracle_extreme(points: Sequence[tuple[Fraction, ...]], i: int) -> bool:
-    """Subset enumeration + Gaussian solves; no linear programming involved."""
+    """Subset enumeration + Gaussian solves; no linear programming involved.
+
+    Each coordinate is scaled to ints once, over its own denominator, so
+    every system [combo | v] plus the convexity row is an int matrix that
+    the elimination kernel reduces with no Fraction and no identity block.
+    """
     v = points[i]
     others = [p for j, p in enumerate(points) if j != i]
     if not others:
@@ -288,15 +293,20 @@ def oracle_extreme(points: Sequence[tuple[Fraction, ...]], i: int) -> bool:
         col = [p[r] for p in others]
         if v[r] > max(col) or v[r] < min(col):
             return True
+    cols = [int_row([p[r] for p in points])[0] for r in range(dim)]
+    scaled = list(zip(*cols))
+    v, others = scaled[i], scaled[:i] + scaled[i + 1:]
     for size in range(1, min(len(others), dim + 1) + 1):
         for combo in itertools.combinations(others, size):
-            rows = [[p[r] for p in combo] for r in range(dim)]
-            rows.append([ONE] * size)
-            rhs = [v[r] for r in range(dim)] + [ONE]
-            sol = gauss_solve(rows, rhs)
-            # free variables mean the combo is affinely dependent; its
-            # subsets were already tried, so skipping keeps completeness
-            if sol.consistent and sol.free_count == 0 and all(w >= 0 for w in sol.x):
+            rows = [[p[r] for p in combo] + [v[r]] for r in range(dim)]
+            rows.append([1] * (size + 1))
+            pivots, _, _ = _row_reduce(rows, size)
+            # a free variable means the combo is affinely dependent; its
+            # subsets were already tried, so skipping keeps completeness.
+            # Otherwise the weights are the pivot rows' right-hand sides
+            # over D > 0, and a nonzero one below them is an inconsistency.
+            if len(pivots) == size and not any(row[size] for row in rows[size:]) \
+                    and all(rows[r][size] >= 0 for r, _ in pivots):
                 return False
     return True
 

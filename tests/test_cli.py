@@ -349,6 +349,30 @@ def test_defcheck_distance_axioms(capsys, work):
     assert "approachable: FAIL" in out
 
 
+@pytest.mark.parametrize("d, values, text, payload", [
+    (ONE, (F(1, 2), F(1, 4)),
+     ["nonnegative: ok", "nonexpansive: ok", "approachable: FAIL at (p), Farkas pair (3/4, 1/4)"],
+     {"nonnegative": {"ok": True}, "nonexpansive": {"ok": True},
+      "approachable": {"ok": False, "witness": {"point": "(p)", "farkas": ["3/4", "1/4"]}}}),
+    (F(1, 2), (F(-1, 4), F(1, 2)),
+     ["nonnegative: FAIL at (p)", "nonexpansive: FAIL at (q) (p)",
+      "approachable: FAIL at (p), Farkas pair (1/4, 3/4)"],
+     {"nonnegative": {"ok": False, "witness": ["(p)"]},
+      "nonexpansive": {"ok": False, "witness": ["(q)", "(p)"]},
+      "approachable": {"ok": False, "witness": {"point": "(p)", "farkas": ["1/4", "3/4"]}}}),
+])
+def test_defcheck_distance_axioms_witnesses(capsys, tmp_path, d, values, text, payload):
+    # witnesses name elements by label and rationals as "p/q", in text and JSON
+    structure, predicate = str(tmp_path / "M.json"), str(tmp_path / "P.json")
+    save_structure(FiniteStructure(("p", "q"), ((ZERO, d), (d, ZERO))), structure)
+    save_predicate(PredicateTable(1, {(0,): values[0], (1,): values[1]}), predicate)
+    argv = ["defcheck", "distance-axioms", "--structure", structure, "--predicate", predicate]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.splitlines()) == (1, text)
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert (code, json.loads(out)) == (1, payload)
+
+
 def test_defcheck_recover(capsys, work):
     code, out, _ = run(capsys, [
         "defcheck", "recover", "--structure", work["alg"],

@@ -1,4 +1,7 @@
+import itertools
 import random
+from dataclasses import replace
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +17,8 @@ from affinelogic.mean import (
     diagonal_class,
     powermean,
 )
-from affinelogic.model import FiniteStructure, RelationInterp, eval_formula
+from affinelogic.linalg import int_row
+from affinelogic.model import FiniteStructure, FunctionInterp, RelationInterp
 from affinelogic.sampling import (
     random_formula,
     random_structure,
@@ -168,3 +172,117 @@ def test_mean_structure_is_valid(seed):
     weights = random_ultracharge_weights(rng, k)
     mean = build_ultramean(family, Ultracharge(weights))
     assert validate_structure(mean.structure).ok
+
+
+def _reference_ultramean(structures, mu):
+    """The quotient as build_ultramean made it with Fraction tables and one
+    Fraction per entry, before it read the factors' int forms (kept verbatim
+    from the size checks on, which the callers here always pass)."""
+    support = mu.support()
+    sigs = [M.signature() for M in structures]
+    reps: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    for raw in itertools.product(*(range(M.size) for M in structures)):
+        key = tuple(raw[i] for i in support)
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(raw)
+
+    # Every stored value is sum_i mu_i * v_i over the support, accumulated as
+    # an int numerator over wden * lcm(denominators of the v_i) and turned
+    # into one Fraction per entry.
+    w, wden = int_row([mu.weights[i] for i in support])
+    weight = dict(zip(support, w))
+
+    def scaled(tables) -> tuple[int, list[dict]]:
+        nums, den = int_row([v for t in tables for v in t.values()])
+        it = iter(nums)
+        return den, [{k: next(it) for k in t} for t in tables]
+
+    dden, dist = scaled([
+        {(x, y): d for x, row in enumerate(structures[i].metric) for y, d in enumerate(row)}
+        for i in support
+    ])
+    size = len(reps)
+    metric = [[ZERO] * size for _ in range(size)]
+    for p in range(size):
+        a = reps[p]
+        for q in range(p + 1, size):
+            b = reps[q]
+            dpq = Fraction(
+                sum(weight[i] * t[a[i], b[i]] for i, t in zip(support, dist)), wden * dden
+            )
+            metric[p][q] = dpq
+            metric[q][p] = dpq
+
+    labels = tuple(
+        "[" + ",".join(M.elements[x] for M, x in zip(structures, rep)) + "]"
+        for rep in reps
+    )
+
+    def cls(raw: tuple[int, ...]) -> int:
+        return index[tuple(raw[i] for i in support)]
+
+    constants = {
+        name: cls(tuple(M.constants[name] for M in structures))
+        for name in sigs[0].constants
+    }
+
+    functions: dict[str, FunctionInterp] = {}
+    for name, info in sigs[0].functions.items():
+        table: dict[tuple[int, ...], int] = {}
+        for args in itertools.product(range(size), repeat=info.arity):
+            raw_out = tuple(
+                structures[i].functions[name].table[tuple(reps[a][i] for a in args)]
+                for i in range(len(structures))
+            )
+            table[args] = cls(raw_out)
+        functions[name] = FunctionInterp(info.arity, info.lam, table)
+
+    relations: dict[str, RelationInterp] = {}
+    for name, info in sigs[0].relations.items():
+        rden, tables = scaled([structures[i].relations[name].table for i in support])
+        table_r: dict[tuple[int, ...], Fraction] = {}
+        for args in itertools.product(range(size), repeat=info.arity):
+            table_r[args] = Fraction(
+                sum(
+                    weight[i] * t[tuple(reps[a][i] for a in args)]
+                    for i, t in zip(support, tables)
+                ),
+                wden * rden,
+            )
+        relations[name] = RelationInterp(info.arity, info.lam, table_r)
+
+    return FiniteStructure(
+        elements=labels,
+        metric=tuple(tuple(row) for row in metric),
+        constants=constants,
+        functions=functions,
+        relations=relations,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+def test_ultramean_matches_fraction_reference(seed, ternary):
+    # Factors from the sampler, optionally with a ternary relation whose
+    # table is stored out of key order; weights may vanish on some factors.
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    family = random_structure_family(rng, k, max_size=4, product_cap=27)
+    if ternary:
+        for j, M in enumerate(family):
+            keys = list(itertools.product(range(M.size), repeat=3))
+            rng.shuffle(keys)
+            dens = [rng.randint(1, 6) for _ in keys]
+            T = RelationInterp(3, ONE, {a: F(rng.randint(0, q), q) for a, q in zip(keys, dens)})
+            family[j] = replace(M, relations={**M.relations, "T": T})
+    mu = Ultracharge(random_ultracharge_weights(rng, k))
+    Q, ref = build_ultramean(family, mu).structure, _reference_ultramean(family, mu)
+    assert Q.elements == ref.elements
+    assert Q.metric == ref.metric
+    assert Q.constants == ref.constants
+    assert list(Q.functions.items()) == list(ref.functions.items())
+    for name, rel in ref.relations.items():
+        assert list(Q.relations[name].table.items()) == list(rel.table.items())
+    assert Q == ref

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Mapping, Sequence
@@ -8,12 +9,13 @@ from typing import Mapping, Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from affinelogic.linalg import int_row
 from affinelogic.model import (
     EvalError,
     FiniteStructure,
     FunctionInterp,
     RelationInterp,
-    apply_to_tuple,
+    StructureError,
     automorphisms,
     eval_condition,
     eval_formula,
@@ -129,6 +131,16 @@ def test_validate_rejects_incomplete_table():
     rep = validate_structure(M)
     assert not rep.ok
     assert rep.kind == "shape"
+
+
+def test_relation_range_witness_is_first_as_stored():
+    # the table lists (1,) before (0,), and both leave [0, 1]
+    M = FiniteStructure(
+        ("a", "b"), ((ZERO, ONE), (ONE, ZERO)), {}, {},
+        {"R": RelationInterp(1, ONE, {(1,): F(2), (0,): F(-1)})},
+    )
+    rep = validate_structure(M)
+    assert (rep.kind, rep.witness) == ("relation range", (1,))
 
 
 def test_validate_rejects_function_lipschitz_violation():
@@ -372,9 +384,9 @@ def _is_automorphism(M, p):
     return (
         all(M.metric[i][j] == M.metric[p[i]][p[j]] for i in range(n) for j in range(n))
         and all(p[c] == c for c in M.constants.values())
-        and all(rel.table[apply_to_tuple(p, a)] == v
+        and all(rel.table[tuple(p[x] for x in a)] == v
                 for rel in M.relations.values() for a, v in rel.table.items())
-        and all(fn.table[apply_to_tuple(p, a)] == p[out]
+        and all(fn.table[tuple(p[x] for x in a)] == p[out]
                 for fn in M.functions.values() for a, out in fn.table.items())
     )
 
@@ -466,7 +478,7 @@ def test_automorphism_preserves_formula_values():
         tbl = eval_table(M, phi, fv)
         for perm in perms:
             for a in tbl:
-                assert tbl[apply_to_tuple(perm, a)] == tbl[a]
+                assert tbl[tuple(perm[x] for x in a)] == tbl[a]
 
 
 def test_first_order_flag():
@@ -882,3 +894,66 @@ def test_int_metric_checks_match_fraction_reference(M):
         assert rep.kind in (None, "relation Lipschitz")
     else:
         assert (rep.ok, rep.kind, rep.witness) == (False, *expected)
+
+
+# ---------------------------------------------------------------------------
+# the int forms a structure caches on first read
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eval_structures(), st.randoms(use_true_random=False))
+def test_int_forms_match_int_row_of_the_fraction_view(M, rnd):
+    # tables stored out of key order still give row-major int forms
+    shuffled = {}
+    for name, rel in M.relations.items():
+        items = list(rel.table.items())
+        rnd.shuffle(items)
+        shuffled[name] = RelationInterp(rel.arity, rel.lam, dict(items))
+    M = replace(M, relations=shuffled)
+    m = M.size
+    metric, relations = M.int_metric, M.int_relations
+    flat, D = int_row([d for row in M.metric for d in row])
+    assert metric == (tuple(tuple(flat[i:i + m]) for i in range(0, m * m, m)), D)
+    assert relations.keys() == M.relations.keys()
+    for name, rel in M.relations.items():
+        nums, R = int_row([rel.table[a] for a in itertools.product(range(m), repeat=rel.arity)])
+        assert relations[name] == (tuple(nums), R)
+    assert M.int_metric is metric and M.int_relations is relations
+
+
+@pytest.mark.parametrize("metric, relations", [
+    (((ZERO, ONE),), {}),
+    (((ZERO,), (ONE, ZERO)), {}),
+    (((ZERO, ONE), (ONE, ZERO)), {"R": RelationInterp(1, ONE, {(0,): ZERO, (2,): ONE})}),
+    (((ZERO, ONE), (ONE, ZERO)), {"R": RelationInterp(2, ONE, {(0,): ZERO, (1,): ONE})}),
+])
+def test_validate_reports_shape_of_tables_the_int_forms_cannot_read(metric, relations):
+    M = FiniteStructure(("a", "b"), metric, {}, {}, relations)
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "shape")
+
+
+def test_eval_over_a_table_missing_a_tuple_names_the_symbol():
+    metric, R = ((ZERO, ONE), (ONE, ZERO)), Apply("R", (Var("x"),))
+    M = FiniteStructure(("a", "b"), metric, {}, {}, {"R": RelationInterp(1, ONE, {(0,): ZERO})})
+    with pytest.raises(StructureError, match=r"relation 'R' has no value at \(1,\)"):
+        eval_table(M, R, ("x",))
+    # the int form covers the whole table, so a present cell raises too
+    with pytest.raises(StructureError, match=r"relation 'R' has no value at \(1,\)"):
+        eval_formula(M, R, {"x": 0})
+    N = FiniteStructure(
+        ("a", "b"), metric, {}, {"f": FunctionInterp(1, ONE, {(0,): 1})},
+        {"R": RelationInterp(1, ONE, {(0,): ZERO, (1,): ONE})},
+    )
+    R_of_f = Apply("R", (Func("f", (Var("x"),)),))
+    assert eval_formula(N, R_of_f, {"x": 0}) == ONE
+    with pytest.raises(StructureError, match=r"function 'f' has no value at \(1,\)"):
+        eval_formula(N, R_of_f, {"x": 1})
+
+
+def test_nullary_relation_is_one_cell():
+    # its int form holds the one value at (); the lookup used to find no cell
+    M = FiniteStructure(("a", "b"), ((ZERO, ONE), (ONE, ZERO)), {}, {},
+                        {"Z": RelationInterp(0, ONE, {(): F(1, 2)})})
+    assert eval_formula(M, Apply("Z", ())) == F(1, 2)
+    assert eval_table(M, Apply("Z", ()), ("x",)) == {(0,): F(1, 2), (1,): F(1, 2)}

@@ -21,8 +21,6 @@ from affinelogic.serialize import (
     predicate_from_dict,
     predicate_to_dict,
     save_structure,
-    signature_from_dict,
-    signature_to_dict,
     structure_from_dict,
     structure_to_dict,
 )
@@ -159,12 +157,6 @@ def test_structure_is_validated_where_loaded():
         structure_from_dict(data)
 
 
-def test_signature_roundtrip():
-    M = build_algebra([F(1, 2), F(1, 2)]).to_structure()
-    sig = M.signature()
-    assert signature_from_dict(signature_to_dict(sig)) == sig
-
-
 def test_predicate_roundtrip():
     P = PredicateTable(2, {(i, j): F(i + j, 4) for i in range(2) for j in range(2)})
     data = predicate_to_dict(P)
@@ -218,11 +210,6 @@ _STRUCTURE = {
     "functions": {"f": {"arity": 1, "lambda": "1/1", "table": {"0": 1, "1": 0}}},
     "relations": {"R": {"arity": 1, "lambda": "1/1", "table": {"0": "0/1", "1": "1/1"}}},
 }
-_SIGNATURE = {
-    "constants": ["c"],
-    "functions": {"f": {"arity": 1, "lambda": "1/1"}},
-    "relations": {"R": {"arity": 2, "lambda": "1/1"}},
-}
 _PREDICATE = {"arity": 1, "values": {"0": "0/1", "1": "1/2"}}
 _FUNCTION_TABLE = {"arity_in": 1, "arity_out": 1, "lambda": "1/1", "table": {"0": [1], "1": [0]}}
 
@@ -232,8 +219,6 @@ _FUNCTION_TABLE = {"arity_in": 1, "arity_out": 1, "lambda": "1/1", "table": {"0"
     (structure_from_dict, _STRUCTURE, ("functions", "f", "arity")),
     (structure_from_dict, _STRUCTURE, ("functions", "f", "table", "1")),
     (structure_from_dict, _STRUCTURE, ("constants", "c")),
-    (signature_from_dict, _SIGNATURE, ("functions", "f", "arity")),
-    (signature_from_dict, _SIGNATURE, ("relations", "R", "arity")),
     (predicate_from_dict, _PREDICATE, ("arity",)),
     (function_table_from_dict, _FUNCTION_TABLE, ("arity_in",)),
     (function_table_from_dict, _FUNCTION_TABLE, ("arity_out",)),

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelogic.linalg import gauss_solve
 from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
 from affinelogic.model import FiniteStructure, RelationInterp, eval_table
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_hull_structure
+from affinelogic.suites import oracle_extreme
 from affinelogic.syntax import Apply, Var, parse_condition, parse_condition_line, parse_formula
 from affinelogic.typespace import (
     BoundaryMeasure,
@@ -195,6 +198,38 @@ def _hull_of(points):
 @given(_vertex_lists())
 def test_extreme_points_match_fraction_rows(points):
     assert extreme_points(_hull_of(points)) == _ref_extreme_points(_hull_of(points))
+
+
+def _ref_oracle_extreme(points, i):
+    """The c06 oracle as it was before it reduced int rows, kept verbatim
+    (renamed): one gauss_solve per candidate combination."""
+    v = points[i]
+    others = [p for j, p in enumerate(points) if j != i]
+    if not others:
+        return True
+    dim = len(v)
+    for r in range(dim):
+        col = [p[r] for p in others]
+        if v[r] > max(col) or v[r] < min(col):
+            return True
+    for size in range(1, min(len(others), dim + 1) + 1):
+        for combo in itertools.combinations(others, size):
+            rows = [[p[r] for p in combo] for r in range(dim)]
+            rows.append([ONE] * size)
+            rhs = [v[r] for r in range(dim)] + [ONE]
+            sol = gauss_solve(rows, rhs)
+            # free variables mean the combo is affinely dependent; its
+            # subsets were already tried, so skipping keeps completeness
+            if sol.consistent and sol.free_count == 0 and all(w >= 0 for w in sol.x):
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vertex_lists())
+def test_extreme_oracle_matches_gauss_solve_reference(points):
+    got = [oracle_extreme(points, i) for i in range(len(points))]
+    assert got == [_ref_oracle_extreme(points, i) for i in range(len(points))]
 
 
 def test_exposed_face_of_mu(algebra_hull):
