@@ -157,6 +157,13 @@ def test_structure_is_validated_where_loaded():
         structure_from_dict(data)
 
 
+def test_signature_roundtrip():
+    # a signature is stored only inside a structure file
+    M = build_algebra([F(1, 2), F(1, 2)]).to_structure()
+    sig = M.signature()
+    assert structure_from_dict(structure_to_dict(M)).signature() == sig
+
+
 def test_predicate_roundtrip():
     P = PredicateTable(2, {(i, j): F(i + j, 4) for i in range(2) for j in range(2)})
     data = predicate_to_dict(P)
@@ -214,15 +221,16 @@ _PREDICATE = {"arity": 1, "values": {"0": "0/1", "1": "1/2"}}
 _FUNCTION_TABLE = {"arity_in": 1, "arity_out": 1, "lambda": "1/1", "table": {"0": [1], "1": [0]}}
 
 
+# Explicit ids keep each case's name fixed when entries are added or removed.
 @pytest.mark.parametrize("decode, good, path", [
-    (structure_from_dict, _STRUCTURE, ("relations", "R", "arity")),
-    (structure_from_dict, _STRUCTURE, ("functions", "f", "arity")),
-    (structure_from_dict, _STRUCTURE, ("functions", "f", "table", "1")),
-    (structure_from_dict, _STRUCTURE, ("constants", "c")),
-    (predicate_from_dict, _PREDICATE, ("arity",)),
-    (function_table_from_dict, _FUNCTION_TABLE, ("arity_in",)),
-    (function_table_from_dict, _FUNCTION_TABLE, ("arity_out",)),
-    (function_table_from_dict, _FUNCTION_TABLE, ("table", "1", 0)),
+    pytest.param(structure_from_dict, _STRUCTURE, ("relations", "R", "arity"), id="structure_from_dict-good0-path0"),
+    pytest.param(structure_from_dict, _STRUCTURE, ("functions", "f", "arity"), id="structure_from_dict-good1-path1"),
+    pytest.param(structure_from_dict, _STRUCTURE, ("functions", "f", "table", "1"), id="structure_from_dict-good2-path2"),
+    pytest.param(structure_from_dict, _STRUCTURE, ("constants", "c"), id="structure_from_dict-good3-path3"),
+    pytest.param(predicate_from_dict, _PREDICATE, ("arity",), id="predicate_from_dict-good6-path6"),
+    pytest.param(function_table_from_dict, _FUNCTION_TABLE, ("arity_in",), id="function_table_from_dict-good7-path7"),
+    pytest.param(function_table_from_dict, _FUNCTION_TABLE, ("arity_out",), id="function_table_from_dict-good8-path8"),
+    pytest.param(function_table_from_dict, _FUNCTION_TABLE, ("table", "1", 0), id="function_table_from_dict-good9-path9"),
 ])
 @pytest.mark.parametrize("bad", [1.5, 0.7, 1.0, "1", True])
 def test_integer_fields_must_be_json_integers(decode, good, path, bad):
