@@ -460,17 +460,15 @@ def cmd_types_distance(args) -> int:
 # definability commands
 
 
-def cmd_def_distance_axioms(args) -> int:
-    M = load_structure(args.structure)
-    P = load_predicate(args.predicate)
-    rep = check_distance_axioms(M, P)
-    payload, lines = {}, []
+def _axiom_checks(M: FiniteStructure, rep):
+    """(label, payload entry, text line) of each distance axiom, witnesses
+    in element labels and rationals as "p/q"."""
     for label, check in (
         ("nonnegative", rep.nonnegative),
         ("nonexpansive", rep.nonexpansive),
         ("approachable", rep.approachable),
     ):
-        payload[label] = {"ok": check.ok}
+        entry = {"ok": check.ok}
         line = f"{label}: {'ok' if check.ok else 'FAIL'}"
         if not check.ok and check.witness is not None:
             # (a,) or (a, b) tuples; approachability's is (a, (r0, r1))
@@ -481,9 +479,16 @@ def cmd_def_distance_axioms(args) -> int:
             else:
                 witness = [_labels(M, a) for a in check.witness]
                 line += f" at {' '.join(witness)}"
-            payload[label]["witness"] = witness
-        lines.append(line)
-    _emit(args, payload, lines)
+            entry["witness"] = witness
+        yield label, entry, line
+
+
+def cmd_def_distance_axioms(args) -> int:
+    M = load_structure(args.structure)
+    P = load_predicate(args.predicate)
+    rep = check_distance_axioms(M, P)
+    checks = list(_axiom_checks(M, rep))
+    _emit(args, {label: entry for label, entry, _ in checks}, [line for _, _, line in checks])
     return OK if rep.ok else CHECK_FALSE
 
 
@@ -492,7 +497,8 @@ def cmd_def_recover(args) -> int:
     P = load_predicate(args.predicate)
     axioms = check_distance_axioms(M, P)
     if not axioms.ok:
-        reason = f"distance axioms fail, refusing to recover: {axioms}"
+        failing = [line for _, entry, line in _axiom_checks(M, axioms) if not entry["ok"]]
+        reason = "distance axioms fail, refusing to recover: " + "; ".join(failing)
         _emit(args, {"recovered": None, "error": reason}, [f"refused: {reason}"])
         return CHECK_FALSE
     zero = zeroset_recover(M, P)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, automorphisms, eval_table, neighbour_pairs
-from .typespace import FormulaFamily, TypeVector, factor_table_through_family
+from .typespace import FormulaFamily, TypeVector, factor_table_through_family, family_tables
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -346,10 +346,13 @@ class AffineWitness:
 
 @dataclass
 class DefinabilityReport:
+    """A verdict with its witness or certificate; on a set, its distance table too."""
+
     definable: bool
     witness: AffineWitness | None = None
     conflict: linalg.FactorConflict | None = None
     residue: linalg.FactorResidue | None = None
+    distance: PredicateTable | None = None
 
     def __bool__(self) -> bool:
         return self.definable
@@ -377,27 +380,12 @@ def is_definable_predicate(
     return DefinabilityReport(False, conflict=res.conflict, residue=res.residue)
 
 
-@dataclass
-class DefinableSetReport:
-    definable: bool
-    distance: PredicateTable
-    witness: AffineWitness | None = None
-    conflict: linalg.FactorConflict | None = None
-    residue: linalg.FactorResidue | None = None
-
-    def __bool__(self) -> bool:
-        return self.definable
-
-
 def is_definable_set(
     M: FiniteStructure, D, family: FormulaFamily, n: int | None = None
-) -> DefinableSetReport:
+) -> DefinabilityReport:
     """A set is definable over F exactly when its distance table is."""
     dist = distance_predicate(M, D, n)
-    inner = is_definable_predicate(M, dist, family)
-    return DefinableSetReport(
-        inner.definable, dist, inner.witness, inner.conflict, inner.residue
-    )
+    return replace(is_definable_predicate(M, dist, family), distance=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +543,7 @@ def invariant_type(M: FiniteStructure, f: FunctionTable, family: FormulaFamily) 
     cycle = path[seen[x]:]
     w = Fraction(1, len(cycle))
     witness = {(c,): w for c in cycle}
-    tables = [eval_table(M, phi, family.variables) for phi in family.formulas]
+    tables = family_tables(M, family)
     values = tuple(
         sum((w * tbl[(c,)] for c in cycle), start=ZERO) for tbl in tables
     )

@@ -2,9 +2,11 @@
 
 Given factors M_1, ..., M_k and rational probability weights mu, the mean
 structure lives on the product domain modulo the pseudometric
-sum_i mu_i * d_i; constants and functions act coordinatewise, relations are
-averaged.  The point of the construction: every formula's value at a class
-equals the mu-weighted average of its values in the factors, exactly.
+sum_i mu_i * d_i, so a class is a tuple over the support of mu; constants
+and functions act coordinatewise, and the metric and every relation are
+averaged by one rule.  The point of the construction: every formula's value
+at a class equals the mu-weighted average of its values in the factors,
+exactly.
 """
 
 from __future__ import annotations
@@ -89,8 +91,11 @@ def build_ultramean(
     """Construct the mean of the factors under mu.
 
     Factors must share a signature; the raw product of domain sizes must stay
-    within cap.  Zero-weight factors do not affect the quotient: classes are
-    keyed by the coordinates in the support of mu.
+    within cap.  The classes are the tuples over the support of mu, in
+    product order; zero-weight factors do not affect the quotient and their
+    tables are never read.  A class is represented by its first raw tuple,
+    which has element 0 at every zero-weight coordinate, and labelled by
+    that tuple's element labels, "[x,y,...]".
     """
     if len(structures) != len(mu):
         raise MeanError("factor count must match the ultracharge length")
@@ -101,85 +106,81 @@ def build_ultramean(
     product = 1
     for M in structures:
         product *= M.size
+    if product == 0:
+        raise MeanError("every factor needs at least one element")
     if product > cap:
         raise CapExceededError(f"raw product {product} exceeds cap {cap}")
 
     support = mu.support()
-    reps: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for raw in itertools.product(*(range(M.size) for M in structures)):
-        key = tuple(raw[i] for i in support)
-        if key not in index:
-            index[key] = len(reps)
-            reps.append(raw)
+    factors = [structures[i] for i in support]
+    keys = list(itertools.product(*(range(M.size) for M in factors)))
+    index = {key: c for c, key in enumerate(keys)}
+    # each class's first raw tuple, in the same order: element 0 at every
+    # zero-weight coordinate
+    reps = list(itertools.product(*(
+        range(M.size) if weight else (0,) for M, weight in zip(structures, mu.weights))))
+    labels = tuple(
+        "[" + ",".join(M.elements[x] for M, x in zip(structures, rep)) + "]"
+        for rep in reps
+    )
+    if len(set(labels)) < len(labels):
+        dup = next(label for label in labels if labels.count(label) > 1)
+        raise MeanError(f"two classes share the label {dup!r}")
 
     # Every stored value is sum_i mu_i * v_i over the support, accumulated
     # from the factors' int forms as an int numerator over wden * lcm(their
     # denominators), with one Fraction per distinct numerator.
     w, wden = int_row([mu.weights[i] for i in support])
-    size = len(reps)
+    size = len(keys)
+    gathers: dict[int, list[list[int]]] = {}
 
-    def weighted(forms) -> tuple[list[int], int]:
-        """Int multipliers for the support factors' (nums, den) forms, each
-        mu_i * wden * lcm(dens) / den_i, and the common denominator
-        wden * lcm(dens) of the weighted sums."""
+    def average(forms, arity: int) -> list[Fraction]:
+        """The mean of the support factors' row-major (nums, den) tables at
+        every quotient tuple of the arity, in product order."""
+        if arity not in gathers:
+            # each factor's row-major index of every quotient tuple, built
+            # once per arity: the metric and the binary relations share one
+            gathers[arity] = []
+            for j, M in enumerate(factors):
+                m, coord, idx = M.size, [key[j] for key in keys], [0]
+                for _ in range(arity):
+                    idx = [x * m + c for x in idx for c in coord]
+                gathers[arity].append(idx)
         den = math.lcm(*[d for _, d in forms])
-        return [wi * (den // d) for wi, (_, d) in zip(w, forms)], wden * den
+        nums = [0] * size ** arity
+        for wi, (t, d), idx in zip(w, forms, gathers[arity]):
+            s = wi * (den // d)
+            nums = [n + s * t[j] for n, j in zip(nums, idx)]
+        return fractions_over(nums, wden * den)
 
-    metrics = [structures[i].int_metric for i in support]
-    scale, dden = weighted(metrics)
-    pairs = list(itertools.combinations(range(size), 2))
-    dist = [0] * len(pairs)
-    for i, s, (d, _) in zip(support, scale, metrics):
-        dist = [
-            n + s * d[reps[p][i]][reps[q][i]] for n, (p, q) in zip(dist, pairs)
-        ]
-    metric = [[ZERO] * size for _ in range(size)]
-    for (p, q), dpq in zip(pairs, fractions_over(dist, dden)):
-        metric[p][q] = metric[q][p] = dpq
+    metrics = [M.int_metric for M in factors]
+    flat = average([([x for row in d for x in row], D) for d, D in metrics], 2)
+    metric = tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
 
-    labels = tuple(
-        "[" + ",".join(M.elements[x] for M, x in zip(structures, rep)) + "]"
-        for rep in reps
-    )
-
-    def cls(raw: tuple[int, ...]) -> int:
-        return index[tuple(raw[i] for i in support)]
+    relations = {
+        name: RelationInterp(info.arity, info.lam, dict(zip(
+            itertools.product(range(size), repeat=info.arity),
+            average([M.int_relations[name] for M in factors], info.arity),
+        )))
+        for name, info in sigs[0].relations.items()
+    }
 
     constants = {
-        name: cls(tuple(M.constants[name] for M in structures))
+        name: index[tuple(M.constants[name] for M in factors)]
         for name in sigs[0].constants
     }
 
     functions: dict[str, FunctionInterp] = {}
     for name, info in sigs[0].functions.items():
-        table: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(range(size), repeat=info.arity):
-            raw_out = tuple(
-                structures[i].functions[name].table[tuple(reps[a][i] for a in args)]
-                for i in range(len(structures))
-            )
-            table[args] = cls(raw_out)
-        functions[name] = FunctionInterp(info.arity, info.lam, table)
-
-    relations: dict[str, RelationInterp] = {}
-    for name, info in sigs[0].relations.items():
-        forms = [structures[i].int_relations[name] for i in support]
-        scale, rden = weighted(forms)
-        keys = list(itertools.product(range(size), repeat=info.arity))
-        nums = [0] * len(keys)
-        for i, s, (t, _) in zip(support, scale, forms):
-            # the factor's row-major index of each key, in key order
-            m, coord, idx = structures[i].size, [rep[i] for rep in reps], [0]
-            for _ in range(info.arity):
-                idx = [j * m + c for j in idx for c in coord]
-            nums = [n + s * t[j] for n, j in zip(nums, idx)]
-        table_r = dict(zip(keys, fractions_over(nums, rden)))
-        relations[name] = RelationInterp(info.arity, info.lam, table_r)
+        tables = [M.functions[name].table for M in factors]
+        functions[name] = FunctionInterp(info.arity, info.lam, {
+            args: index[tuple(t[tuple(keys[a][j] for a in args)] for j, t in enumerate(tables))]
+            for args in itertools.product(range(size), repeat=info.arity)
+        })
 
     quotient = FiniteStructure(
         elements=labels,
-        metric=tuple(tuple(row) for row in metric),
+        metric=metric,
         constants=constants,
         functions=functions,
         relations=relations,

@@ -29,7 +29,6 @@ from .syntax import (
     Apply,
     Const,
     Formula,
-    Func,
     Inf,
     One,
     Scale,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, FunctionInterp, RelationInterp
@@ -98,17 +98,13 @@ class MeasureAlgebra:
             out.append(x)
         return sorted(out)
 
-    def to_structure(self, extra_constants: Mapping[str, int] | None = None) -> FiniteStructure:
+    def to_structure(self) -> FiniteStructure:
         """Export as a finite metric structure (element index == bitmask)."""
         size = self.size
         metric = tuple(
             tuple(self.distance(x, y) for y in range(size)) for x in range(size)
         )
         constants = {"zero": 0, "one": self.top}
-        for name, x in (extra_constants or {}).items():
-            if not 0 <= x < size:
-                raise AlgebraError(f"constant {name!r} out of range")
-            constants[name] = x
         pairs = list(itertools.product(range(size), repeat=2))
         functions = {
             "meet": FunctionInterp(2, ONE, {(x, y): x & y for x, y in pairs}),

@@ -3,8 +3,10 @@
 Everything draws from random.Random so runs are reproducible from a seed,
 and every generated object is valid by construction: metrics come from a
 min-plus closure over a positive grid, relation tables are Lipschitz by
-inf-convolution against the declared constant, function tables declare the
-exact constant computed from the table.
+inf-convolution against the declared constant (one int convolution, over
+every axis or the trailing ones), function tables declare the least
+constant of the table, taken over neighbour pairs, which is exact because
+every metric here is valid.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .definability import FunctionTable, PredicateTable
 from .linalg import int_row
-from .model import FiniteStructure, FunctionInterp, RelationInterp
+from .model import FiniteStructure, FunctionInterp, RelationInterp, neighbour_pairs
 from .syntax import (
     Apply,
     Const,
@@ -29,7 +31,6 @@ from .syntax import (
     Signature,
     Sum,
     Sup,
-    SymbolInfo,
     Var,
 )
 
@@ -71,16 +72,22 @@ def lipschitz_relation(
     lam: Fraction,
     m: int,
 ) -> dict[tuple[int, ...], Fraction]:
-    """Inf-convolution of random raw values: lam-Lipschitz, in [0, 1].
+    """Inf-convolution of random raw values: lam-Lipschitz, in [0, 1]."""
+    return _inf_convolution(rng, M_metric, m, arity, lam, arity)
 
-    The value at a is min over b of raw[b] + lam * d(a, b), with d the sum
-    metric.  A sum over coordinates lets the min run one coordinate at a
-    time, in ints over one common denominator of the raw values and lam
-    times the metric.
+
+def _inf_convolution(
+    rng: random.Random, M_metric: Sequence[Sequence[Fraction]], m: int, arity: int,
+    lam: Fraction, axes: int,
+) -> dict[tuple[int, ...], Fraction]:
+    """Random raw values on range(m)^arity, inf-convolved along the last
+    `axes` coordinates: the value at x + y is min over z of raw[x + z] +
+    lam * d(z, y), with d the sum metric.  A sum over coordinates lets the
+    min run one coordinate at a time, in ints over one common denominator
+    of the raw values and lam times the metric.
     """
     tuples = list(itertools.product(range(m), repeat=arity))
-    raw = {a: random_fraction(rng) for a in tuples}
-    raw_nums, raw_den = int_row(list(raw.values()))
+    raw_nums, raw_den = int_row([random_fraction(rng) for _ in tuples])
     metric_nums, metric_den = int_row([d for row in M_metric for d in row])
     lam_num, lam_den = Fraction(lam).as_integer_ratio()
     den = lcm(raw_den, lam_den * metric_den)
@@ -88,7 +95,7 @@ def lipschitz_relation(
     step = [[scale * metric_nums[x * m + y] for y in range(m)] for x in range(m)]
     vals = [v * (den // raw_den) for v in raw_nums]
     # vals is row-major over the tuples; each pass takes the min along one axis
-    for stride in (m ** k for k in range(arity)):
+    for stride in (m ** k for k in range(axes)):
         out = []
         for i in range(len(vals)):
             x = i // stride % m
@@ -100,17 +107,20 @@ def lipschitz_relation(
 
 def tight_function_lambda(
     metric: Sequence[Sequence[Fraction]],
-    table: dict[tuple[int, ...], int],
+    table: Mapping[tuple[int, ...], int | tuple[int, ...]],
 ) -> Fraction:
+    """The least Lipschitz constant of a total map whose outputs are
+    elements or tuples of elements, in the sum metric.
+
+    Taken over neighbour pairs only (see `neighbour_pairs`), which is exact
+    for a valid metric: by the triangle inequality on outputs, a coordinate
+    path from a to b moves the output at most lam * d(a, b).
+    """
     lam = ZERO
-    items = list(table.items())
-    for i, (a, fa) in enumerate(items):
-        for b, fb in items[i + 1:]:
-            da = sum((metric[x][y] for x, y in zip(a, b)), start=ZERO)
-            if da > 0:
-                ratio = Fraction(metric[fa][fb]) / da
-                if ratio > lam:
-                    lam = ratio
+    for a, b, x, y in neighbour_pairs(len(metric), len(next(iter(table)))):
+        fa, fb = table[a], table[b]
+        out = metric[fa][fb] if isinstance(fa, int) else sum(metric[u][v] for u, v in zip(fa, fb))
+        lam = max(lam, Fraction(out) / metric[x][y])
     return lam
 
 
@@ -169,13 +179,8 @@ def random_structure_family(
     return structures
 
 
-def random_structure(
-    rng: random.Random, size: int | None = None, max_size: int = 5
-) -> FiniteStructure:
-    M = random_structure_family(rng, 1, max_size=max_size, product_cap=max_size)[0]
-    if size is not None and M.size != size:
-        return random_structure_family(rng, 1, max_size=size, product_cap=size)[0]
-    return M
+def random_structure(rng: random.Random, max_size: int = 5) -> FiniteStructure:
+    return random_structure_family(rng, 1, max_size=max_size, product_cap=max_size)[0]
 
 
 def random_term(rng: random.Random, sig: Signature, scope: Sequence[str], depth: int):
@@ -265,14 +270,7 @@ def random_predicate_lipschitz_tail(
     rng: random.Random, M: FiniteStructure, head: int, tail: int, lam: Fraction
 ) -> PredicateTable:
     """Random table lam-Lipschitz in its trailing `tail` coordinates."""
-    xs = list(itertools.product(range(M.size), repeat=head))
-    ys = list(itertools.product(range(M.size), repeat=tail))
-    raw = {x + y: random_fraction(rng) for x in xs for y in ys}
-    values = {
-        x + y: min(raw[x + z] + lam * M.tuple_distance(z, y) for z in ys)
-        for x in xs
-        for y in ys
-    }
+    values = _inf_convolution(rng, M.metric, M.size, head + tail, lam, tail)
     return PredicateTable(head + tail, values)
 
 
@@ -284,31 +282,22 @@ def random_function_table(
     table = {
         a: tuple(rng.randrange(M.size) for _ in range(arity_out)) for a in ins
     }
-    lam = ZERO
-    for i, a in enumerate(ins):
-        for b in ins[i + 1:]:
-            da = M.tuple_distance(a, b)
-            if da > 0:
-                ratio = M.tuple_distance(table[a], table[b]) / da
-                if ratio > lam:
-                    lam = ratio
-    return FunctionTable(arity_in, arity_out, lam, table)
+    return FunctionTable(arity_in, arity_out, tight_function_lambda(M.metric, table), table)
 
 
 def random_subset(
-    rng: random.Random, M: FiniteStructure, arity: int, nonempty: bool = True
+    rng: random.Random, M: FiniteStructure, arity: int
 ) -> frozenset[tuple[int, ...]]:
+    """A random nonempty set of tuples."""
     tuples = list(itertools.product(range(M.size), repeat=arity))
     picked = [a for a in tuples if rng.random() < 0.4]
-    if nonempty and not picked:
+    if not picked:
         picked = [rng.choice(tuples)]
     return frozenset(picked)
 
 
-def random_first_order_structure(
-    rng: random.Random, size: int, name_all: bool = True
-) -> FiniteStructure:
-    """Discrete metric, {0,1}-valued relations, optionally all points named."""
+def random_first_order_structure(rng: random.Random, size: int) -> FiniteStructure:
+    """Discrete metric, {0,1}-valued relations, every point named."""
     metric = tuple(
         tuple(ZERO if i == j else ONE for j in range(size)) for i in range(size)
     )
@@ -317,7 +306,7 @@ def random_first_order_structure(
             1, ONE, {(i,): Fraction(rng.randint(0, 1)) for i in range(size)}
         )
     }
-    constants = {f"c{i}": i for i in range(size)} if name_all else {}
+    constants = {f"c{i}": i for i in range(size)}
     return FiniteStructure(
         elements=tuple(f"p{i}" for i in range(size)),
         metric=metric,

@@ -161,12 +161,16 @@ def structure_from_dict(data: Mapping) -> FiniteStructure:
     return M
 
 
-def save_structure(M: FiniteStructure, path: str) -> None:
-    # encoded first, so a value that cannot be written leaves the file as it was
-    data = structure_to_dict(M)
+def _save(data, path: str) -> None:
+    """Write already-encoded data as JSON: the file is opened only after the
+    data is built, so a value that cannot be written leaves it as it was."""
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def save_structure(M: FiniteStructure, path: str) -> None:
+    _save(structure_to_dict(M), path)
 
 
 @_decodes("structure")
@@ -260,9 +264,7 @@ def load_predicate(path: str) -> PredicateTable:
 
 
 def save_predicate(P: PredicateTable, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(predicate_to_dict(P), fh, indent=2)
-        fh.write("\n")
+    _save(predicate_to_dict(P), path)
 
 
 @_decodes("function table")
@@ -272,6 +274,4 @@ def load_function_table(path: str) -> FunctionTable:
 
 
 def save_function_table(f: FunctionTable, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(function_table_to_dict(f), fh, indent=2)
-        fh.write("\n")
+    _save(function_table_to_dict(f), path)

@@ -49,6 +49,7 @@ from .sampling import (
     random_structure_family,
     random_subset,
     random_ultracharge_weights,
+    tight_function_lambda,
 )
 from .syntax import Apply, Condition, Const, One, Scale, Var, certificate, free_vars, parse_condition
 from .typespace import (
@@ -523,24 +524,12 @@ def lipschitz_map(rng: random.Random, M: FiniteStructure) -> FunctionTable:
         table = None
         for _ in range(60):
             cand = {(i,): (rng.randrange(M.size),) for i in range(M.size)}
-            if all(
-                M.distance(cand[(i,)][0], cand[(j,)][0]) <= M.distance(i, j)
-                for i in range(M.size)
-                for j in range(i + 1, M.size)
-            ):
+            if tight_function_lambda(M.metric, cand) <= 1:
                 table = cand
                 break
         if table is None:
             table = {(i,): (0,) for i in range(M.size)}
-    lam = ZERO
-    for i in range(M.size):
-        for j in range(i + 1, M.size):
-            d = M.distance(i, j)
-            if d > 0:
-                ratio = M.distance(table[(i,)][0], table[(j,)][0]) / d
-                if ratio > lam:
-                    lam = ratio
-    return FunctionTable(1, 1, lam, table)
+    return FunctionTable(1, 1, tight_function_lambda(M.metric, table), table)
 
 
 def run_projection_graph(seed: int = 0, instances: int = 200) -> SuiteResult:

@@ -326,6 +326,12 @@ class ExposedFace:
     optimum: Fraction
 
 
+def _score(fn: tuple[Fraction, tuple[Fraction, ...]], p: Sequence[Fraction]) -> Fraction:
+    """The affine functional offset + coeffs . p at the point p."""
+    c0, cs = fn
+    return c0 + sum((c * x for c, x in zip(cs, p)), start=ZERO)
+
+
 def exposed_face(
     hull: TypeHull,
     table: Mapping[tuple[int, ...], Fraction],
@@ -347,10 +353,7 @@ def exposed_face(
     c0, cs = _affine_in_family(
         hull, table, "predicate does not factor affinely through the family"
     )
-    scores = [
-        c0 + sum((c * x for c, x in zip(cs, v.values)), start=ZERO)
-        for v in hull.vertices
-    ]
+    scores = [_score((c0, cs), v.values) for v in hull.vertices]
     best = max(scores) if maximize else min(scores)
     if all(s == best for s in scores):
         return ExposedFace(True, tuple(range(len(scores))), c0, cs, best)
@@ -422,14 +425,9 @@ def face_check_functionals(
 ) -> FaceReport:
     values = hull.vertex_values()
     nv = len(values)
-
-    def score(fn: tuple[Fraction, tuple[Fraction, ...]], p: Sequence[Fraction]) -> Fraction:
-        c0, cs = fn
-        return c0 + sum((c * x for c, x in zip(cs, p)), start=ZERO)
-
     cut_vertices = tuple(
         i for i, v in enumerate(values)
-        if all(score(fn, v) >= 0 for fn in functionals)
+        if all(_score(fn, v) >= 0 for fn in functionals)
     )
     if not functionals:
         return FaceReport(True, cut_vertices)
@@ -438,7 +436,7 @@ def face_check_functionals(
     # midpoint inside the cut; minimizing one functional at the alpha
     # endpoint probes for a violation.  Midpoints suffice for closed convex
     # cuts of a polytope.
-    vertex_scores = [[score(fn, v) for v in values] for fn in functionals]
+    vertex_scores = [[_score(fn, v) for v in values] for fn in functionals]
     nf = len(functionals)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -462,16 +460,8 @@ def face_check_functionals(
             # no hull pair has its midpoint in the cut: vacuously facial
             return FaceReport(True, cut_vertices)
         if res.value < 0:
-            alpha = res.x[:nv]
-            beta = res.x[nv:2 * nv]
-            x = tuple(
-                sum((alpha[i] * values[i][c] for i in range(nv)), start=ZERO)
-                for c in range(len(hull.family))
-            )
-            y = tuple(
-                sum((beta[i] * values[i][c] for i in range(nv)), start=ZERO)
-                for c in range(len(hull.family))
-            )
+            x = mixture_type(hull.vertices, res.x[:nv]).values
+            y = mixture_type(hull.vertices, res.x[nv:2 * nv]).values
             mid = tuple((a + b) / 2 for a, b in zip(x, y))
             return FaceReport(
                 False,

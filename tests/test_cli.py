@@ -3,6 +3,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,7 +166,7 @@ def test_invalid_structure_file_is_usage_error(capsys, work):
 
 
 def test_missing_relation_entry_is_usage_error(capsys, work):
-    data = json.loads(open(work["alg"]).read())
+    data = json.loads(Path(work["alg"]).read_text())
     del data["relations"]["mu"]["table"]["1"]
     path = work["tmp"] / "missing.json"
     path.write_text(json.dumps(data))
@@ -197,6 +198,23 @@ def test_ultramean_build_and_verify(capsys, work):
     ])
     assert code == 0
     assert "equal" in out and "NOT" not in out
+
+
+def test_ultramean_build_refuses_colliding_labels(capsys, tmp_path):
+    # "[x,y" + ",z]" and "[x" + ",y,z]": the quotient would have two
+    # elements labelled "[x,y,z]", which no structure file may hold
+    metric = ((ZERO, ONE), (ONE, ZERO))
+    paths = []
+    for name, labels in (("M", ("x,y", "x")), ("N", ("z", "y,z"))):
+        paths += ["--structure", str(tmp_path / f"{name}.json")]
+        save_structure(FiniteStructure(labels, metric), paths[-1])
+    out_path = tmp_path / "mean.json"
+    code, out, err = run(capsys, [
+        "ultramean", "build", *paths, "--mu", "1/2,1/2", "--out", str(out_path),
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: two classes share the label '[x,y,z]'\n"
+    assert not out_path.exists()
 
 
 def test_ultramean_weight_count_mismatch(capsys, work):
@@ -373,6 +391,25 @@ def test_defcheck_distance_axioms_witnesses(capsys, tmp_path, d, values, text, p
     assert (code, json.loads(out)) == (1, payload)
 
 
+@pytest.mark.parametrize("d, values, reason", [
+    (ONE, (F(1, 2), F(1, 4)),
+     "approachable: FAIL at (p), Farkas pair (3/4, 1/4)"),
+    (F(1, 2), (F(-1, 4), F(1, 2)),
+     "nonnegative: FAIL at (p); nonexpansive: FAIL at (q) (p); "
+     "approachable: FAIL at (p), Farkas pair (1/4, 3/4)"),
+])
+def test_defcheck_recover_refusal_renders_each_failing_axiom(capsys, tmp_path, d, values, reason):
+    # the refusal names each failing axiom as defcheck distance-axioms does
+    structure, predicate = str(tmp_path / "M.json"), str(tmp_path / "P.json")
+    save_structure(FiniteStructure(("p", "q"), ((ZERO, d), (d, ZERO))), structure)
+    save_predicate(PredicateTable(1, {(0,): values[0], (1,): values[1]}), predicate)
+    argv = ["defcheck", "recover", "--structure", structure, "--predicate", predicate]
+    reason = "distance axioms fail, refusing to recover: " + reason
+    assert run(capsys, argv) == (1, f"refused: {reason}\n", "")
+    code, out, err = run(capsys, [*argv, "--json"])
+    assert (code, json.loads(out), err) == (1, {"recovered": None, "error": reason}, "")
+
+
 def test_defcheck_recover(capsys, work):
     code, out, _ = run(capsys, [
         "defcheck", "recover", "--structure", work["alg"],
@@ -534,7 +571,7 @@ def test_suite_unknown_name(capsys):
 
 
 def test_number_where_a_rational_belongs_is_a_usage_error(capsys, work):
-    data = json.loads(open(work["alg"]).read())
+    data = json.loads(Path(work["alg"]).read_text())
     data["relations"]["mu"]["lambda"] = 1
     path = work["tmp"] / "int_lambda.json"
     path.write_text(json.dumps(data))
@@ -728,7 +765,7 @@ def _assert_one_error_line(code, out, err):
 ])
 def test_malformed_structure_file(capsys, work, name, broken, message):
     path = work["tmp"] / f"{name}.json"
-    path.write_text(json.dumps(broken(json.loads(open(work["alg"]).read()))))
+    path.write_text(json.dumps(broken(json.loads(Path(work["alg"]).read_text()))))
     code, out, err = run(capsys, ["automorphisms", "--structure", str(path)])
     _assert_one_error_line(code, out, err)
     assert err.startswith("error: " + message)
@@ -737,7 +774,7 @@ def test_malformed_structure_file(capsys, work, name, broken, message):
 @pytest.mark.parametrize("key", ["01", " +1"])
 def test_non_canonical_table_key_is_a_usage_error(capsys, work, key):
     # int() reads both as 1; the "1" entry would be dropped without a word
-    data = json.loads(open(work["alg"]).read())
+    data = json.loads(Path(work["alg"]).read_text())
     data["relations"]["mu"]["table"][key] = data["relations"]["mu"]["table"]["1"]
     path = work["tmp"] / "key.json"
     path.write_text(json.dumps(data))
@@ -747,7 +784,7 @@ def test_non_canonical_table_key_is_a_usage_error(capsys, work, key):
 
 
 def test_duplicate_element_label_is_a_usage_error(capsys, work):
-    data = json.loads(open(work["alg"]).read())
+    data = json.loads(Path(work["alg"]).read_text())
     label = data["elements"][0]
     data["elements"][1] = label
     path = work["tmp"] / "duplicate.json"
@@ -763,7 +800,7 @@ def test_duplicate_element_label_is_a_usage_error(capsys, work):
 ])
 def test_arity_zero_symbol_is_rejected_at_load(capsys, work, kind, spec):
     # formulas cannot use it, so the file is refused where it is read
-    data = json.loads(open(work["alg"]).read())
+    data = json.loads(Path(work["alg"]).read_text())
     data.setdefault(kind, {})["Z"] = spec
     path = work["tmp"] / "nullary.json"
     path.write_text(json.dumps(data))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.mean import (
     CapExceededError,
@@ -80,6 +80,17 @@ def test_zero_weight_factor_collapses():
     assert mean.class_index((1, 0)) == mean.class_index((1, 1))
 
 
+def test_colliding_class_labels_are_refused():
+    # "[x,y" + ",z]" and "[x" + ",y,z]" spell the same label
+    M = replace(two_point(), elements=("x,y", "x"))
+    N = replace(two_point(), elements=("z", "y,z"))
+    with pytest.raises(MeanError, match=r"two classes share the label '\[x,y,z\]'"):
+        build_ultramean([M, N], Ultracharge([F(1, 2), F(1, 2)]))
+    # with one factor at weight 0 its second element never enters a label
+    assert build_ultramean([M, N], Ultracharge([ONE, ZERO])).structure.elements == (
+        "[x,y,z]", "[x,z]")
+
+
 def test_point_mass_mean_is_isometric_copy():
     rng = random.Random(7)
     M = random_structure(rng, max_size=4)
@@ -109,6 +120,13 @@ def test_cap_enforced():
     M = two_point()
     with pytest.raises(CapExceededError):
         powermean(M, Ultracharge([F(1, 3)] * 3), cap=7)
+
+
+def test_empty_factor_rejected():
+    # the raw product is empty, even with the empty factor at weight 0
+    empty = FiniteStructure((), (), relations={"R": RelationInterp(1, ONE, {})})
+    with pytest.raises(MeanError, match="at least one element"):
+        build_ultramean([two_point(), empty], Ultracharge([ONE, ZERO]))
 
 
 def test_length_mismatch_rejected():
@@ -263,12 +281,16 @@ def _reference_ultramean(structures, mu):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000), st.booleans())
-def test_ultramean_matches_fraction_reference(seed, ternary):
+@given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.none())
+@example(seed=0, ternary=True, weights=(ZERO, ONE, ZERO))
+@example(seed=1, ternary=False, weights=(F(1, 2), ZERO, F(1, 2)))
+@example(seed=2, ternary=True, weights=(ZERO, F(1, 3), F(2, 3)))
+def test_ultramean_matches_fraction_reference(seed, ternary, weights):
     # Factors from the sampler, optionally with a ternary relation whose
-    # table is stored out of key order; weights may vanish on some factors.
+    # table is stored out of key order; weights may vanish on some factors,
+    # and the examples pin supports that are not a prefix.
     rng = random.Random(seed)
-    k = rng.randint(1, 3)
+    k = rng.randint(1, 3) if weights is None else len(weights)
     family = random_structure_family(rng, k, max_size=4, product_cap=27)
     if ternary:
         for j, M in enumerate(family):
@@ -277,7 +299,7 @@ def test_ultramean_matches_fraction_reference(seed, ternary):
             dens = [rng.randint(1, 6) for _ in keys]
             T = RelationInterp(3, ONE, {a: F(rng.randint(0, q), q) for a, q in zip(keys, dens)})
             family[j] = replace(M, relations={**M.relations, "T": T})
-    mu = Ultracharge(random_ultracharge_weights(rng, k))
+    mu = Ultracharge(random_ultracharge_weights(rng, k) if weights is None else weights)
     Q, ref = build_ultramean(family, mu).structure, _reference_ultramean(family, mu)
     assert Q.elements == ref.elements
     assert Q.metric == ref.metric

@@ -219,5 +219,3 @@ def test_to_structure_is_valid_and_additive(A3):
             assert (
                 mu[(A3.meet(x, y),)] + mu[(A3.join(x, y),)] == mu[(x,)] + mu[(y,)]
             )
-    with pytest.raises(AlgebraError):
-        A3.to_structure(extra_constants={"c": 99})

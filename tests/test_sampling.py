@@ -4,19 +4,23 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from affinelogic.definability import PredicateTable
 from affinelogic.model import eval_formula, validate_structure
 from affinelogic.sampling import (
     lipschitz_relation,
     random_first_order_structure,
     random_formula,
     random_fraction,
+    random_function_table,
     random_hull_structure,
     random_metric,
+    random_predicate_lipschitz_tail,
     random_structure,
     random_structure_family,
     random_ultracharge_weights,
     tight_function_lambda,
 )
+from affinelogic.suites import lipschitz_map
 from affinelogic.syntax import certificate, free_vars
 
 
@@ -86,6 +90,100 @@ def test_tight_function_lambda_identity_and_constant():
     d = ((F(0), F(1, 2)), (F(1, 2), F(0)))
     assert tight_function_lambda(d, {(0,): 0, (1,): 1}) == 1
     assert tight_function_lambda(d, {(0,): 0, (1,): 0}) == 0
+
+
+def _ref_tight_function_lambda(metric, table):
+    """tight_function_lambda before neighbour pairs: every pair of inputs."""
+    lam = F(0)
+    items = list(table.items())
+    for i, (a, fa) in enumerate(items):
+        for b, fb in items[i + 1:]:
+            da = sum((metric[x][y] for x, y in zip(a, b)), start=F(0))
+            if da > 0:
+                ratio = F(metric[fa][fb]) / da
+                if ratio > lam:
+                    lam = ratio
+    return lam
+
+
+def _ref_function_table_lambda(M, ins, table):
+    """The constant random_function_table computed in its own all-pairs loop."""
+    lam = F(0)
+    for i, a in enumerate(ins):
+        for b in ins[i + 1:]:
+            da = M.tuple_distance(a, b)
+            if da > 0:
+                ratio = M.tuple_distance(table[a], table[b]) / da
+                if ratio > lam:
+                    lam = ratio
+    return lam
+
+
+def _ref_lipschitz_map_lambda(M, table):
+    """The constant suites.lipschitz_map computed in its own all-pairs loop."""
+    lam = F(0)
+    for i in range(M.size):
+        for j in range(i + 1, M.size):
+            d = M.distance(i, j)
+            if d > 0:
+                ratio = M.distance(table[(i,)][0], table[(j,)][0]) / d
+                if ratio > lam:
+                    lam = ratio
+    return lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+)
+def test_tight_function_lambda_matches_all_pair_loops(seed, arity_in, arity_out):
+    # on valid structures the neighbour-pair constant is the all-pairs one
+    rng = random.Random(seed)
+    M = random_structure(rng, max_size=4)
+    f = random_function_table(rng, M, arity_in, arity_out)
+    ins = list(itertools.product(range(M.size), repeat=arity_in))
+    assert f.lam == tight_function_lambda(M.metric, f.table)
+    assert f.lam == _ref_function_table_lambda(M, ins, f.table)
+    if arity_out == 1:
+        elements = {a: out for a, (out,) in f.table.items()}
+        assert tight_function_lambda(M.metric, elements) == f.lam
+        assert _ref_tight_function_lambda(M.metric, elements) == f.lam
+    if arity_in == arity_out == 1:
+        assert _ref_lipschitz_map_lambda(M, f.table) == f.lam
+        g = lipschitz_map(rng, M)
+        assert g.lam == _ref_lipschitz_map_lambda(M, g.table) <= 1
+
+
+def _ref_random_predicate_lipschitz_tail(rng, M, head, tail, lam):
+    """random_predicate_lipschitz_tail before the shared int convolution."""
+    xs = list(itertools.product(range(M.size), repeat=head))
+    ys = list(itertools.product(range(M.size), repeat=tail))
+    raw = {x + y: random_fraction(rng) for x in xs for y in ys}
+    values = {
+        x + y: min(raw[x + z] + lam * M.tuple_distance(z, y) for z in ys)
+        for x in xs
+        for y in ys
+    }
+    return PredicateTable(head + tail, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+)
+def test_predicate_tail_matches_fraction_convolution(seed, head, tail, lam):
+    M = random_structure(random.Random(seed), max_size=4)
+    rng_ref, rng_new = random.Random(seed), random.Random(seed)
+    want = _ref_random_predicate_lipschitz_tail(rng_ref, M, head, tail, lam)
+    got = random_predicate_lipschitz_tail(rng_new, M, head, tail, lam)
+    assert got.arity == want.arity
+    assert list(got.values.items()) == list(want.values.items())
+    assert rng_new.getstate() == rng_ref.getstate()
 
 
 @settings(max_examples=30, deadline=None)

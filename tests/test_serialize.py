@@ -20,6 +20,8 @@ from affinelogic.serialize import (
     parse_family_lines,
     predicate_from_dict,
     predicate_to_dict,
+    save_function_table,
+    save_predicate,
     save_structure,
     structure_from_dict,
     structure_to_dict,
@@ -47,12 +49,17 @@ def test_rational_past_the_int_str_limit_is_a_format_error(tmp_path):
     limit = str(sys.get_int_max_str_digits())
     with pytest.raises(FormatError, match=limit):
         format_rational(huge)
-    M = build_algebra([huge, 1 - huge]).to_structure()
-    path = tmp_path / "huge.json"
-    path.write_text("kept")
-    with pytest.raises(FormatError, match=limit):
-        save_structure(M, str(path))
-    assert path.read_text() == "kept"
+    # each saver encodes before it opens the file, so the file is kept
+    for save, value in [
+        (save_structure, build_algebra([huge, 1 - huge]).to_structure()),
+        (save_predicate, PredicateTable(1, {(0,): huge, (1,): F(0)})),
+        (save_function_table, FunctionTable(1, 1, huge, {(0,): (0,), (1,): (1,)})),
+    ]:
+        path = tmp_path / f"{save.__name__}.json"
+        path.write_text("kept")
+        with pytest.raises(FormatError, match=limit):
+            save(value, str(path))
+        assert path.read_text() == "kept"
 
 
 def _ascii_digits(part):
