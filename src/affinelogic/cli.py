@@ -5,9 +5,10 @@ that comes back false (the witness is in the report), 2 for usage errors,
 unreadable or malformed files, or validation failures, and 3 for an
 internal error: a result of the package that failed its own re-check,
 which is a bug.  Each error class carries its exit code and the label
-printed before its message (see `affinelogic.errors`).  With --json the
-report is a machine-readable object whose rationals are exact "p/q"
-strings.
+printed before its message (see `affinelogic.errors`).  Each command
+returns its exit code, its report as a JSON payload whose rationals are
+exact "p/q" strings, and its report as text lines; `main` prints the
+payload (keys sorted) under --json and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .definability import (
@@ -41,7 +43,7 @@ from .pra import (
     interval_projection,
     pra_definable_check,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational as _fmt, parse_rational
 from .serialize import load_family, load_function_table, load_predicate, load_structure, save_structure
 from .suites import SUITES, run_suites
 from .syntax import Signature, certificate, free_vars, parse_condition, parse_formula, render
@@ -61,6 +63,8 @@ from .typespace import (
 
 CHECK_FALSE = 1
 OK = 0
+
+Report = tuple[int, object, list[str]]  # exit code, JSON payload, text lines
 
 
 class CliError(AffineLogicError):
@@ -94,23 +98,20 @@ def _tuple_of(M: FiniteStructure, text: str) -> tuple[int, ...]:
 
 
 def _tuple_set(M: FiniteStructure, text: str) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for chunk in text.split(";"):
-        if chunk.strip():
-            out.add(_tuple_of(M, chunk))
+    out = frozenset(_tuple_of(M, chunk) for chunk in text.split(";") if chunk.strip())
     if not out:
         raise CliError("expected a nonempty set of tuples")
-    return frozenset(out)
+    return out
 
 
-def _assignment(M: FiniteStructure, pairs: list[str] | None) -> dict[str, int]:
-    asg = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise CliError(f"--assign expects NAME=ELEMENT, got {pair!r}")
-        name, value = pair.split("=", 1)
-        asg[name.strip()] = _element(M, value)
-    return asg
+def _pairs(flag: str, form: str, items):
+    """Each NAME=VALUE item split at its first '=', lazily, so that a bad
+    item is reported only after the items before it were decoded."""
+    for item in items:
+        if "=" not in item:
+            raise CliError(f"{flag} expects {form}, got {item!r}")
+        name, value = item.split("=", 1)
+        yield name, value
 
 
 def _algebra_element(A: MeasureAlgebra, text: str) -> int:
@@ -124,6 +125,10 @@ def _algebra_element(A: MeasureAlgebra, text: str) -> int:
     if not 0 <= x < A.size:
         raise CliError(f"algebra element {x} out of range")
     return x
+
+
+def _algebra_elements(A: MeasureAlgebra, text: str) -> list[int]:
+    return [_algebra_element(A, part) for part in text.split(";") if part.strip()]
 
 
 def _signature_for(args) -> Signature:
@@ -153,67 +158,75 @@ def _present(value, field: str):
     return value
 
 
-def _fmt(value: Fraction) -> str:
-    return format_rational(value)
+def _vec(values) -> str:
+    """A rational vector as text: "(a, b)"."""
+    return "(" + ", ".join(_fmt(x) for x in values) + ")"
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _witness_obj(M: FiniteStructure, witness) -> dict:
-    return {
-        ",".join(M.elements[i] for i in a): _fmt(w) for a, w in sorted(witness.items())
-    }
+def _names(M: FiniteStructure, a) -> list[str]:
+    return [M.elements[i] for i in a]
 
 
 def _labels(M: FiniteStructure, a) -> str:
-    return "(" + ",".join(M.elements[i] for i in a) + ")"
+    return "(" + ",".join(_names(M, a)) + ")"
+
+
+def _moves(M: FiniteStructure, perm) -> str:
+    return " ".join(f"{M.elements[i]}->{M.elements[j]}" for i, j in enumerate(perm))
+
+
+def _save_out(M: FiniteStructure, path: str | None, payload: dict, lines: list[str]) -> None:
+    if path:
+        save_structure(M, path)
+        payload["out"] = path
+        lines.append(f"wrote {path}")
+
+
+def _distribution(M: FiniteStructure, weights) -> tuple[dict, str]:
+    """A distribution over tuples as a JSON object and as text {(a):w, ...}."""
+    items = sorted(weights.items())
+    mix = ", ".join(f"{_labels(M, a)}:{_fmt(w)}" for a, w in items)
+    return {",".join(_names(M, a)): _fmt(w) for a, w in items}, f"{{{mix}}}"
 
 
 # ---------------------------------------------------------------------------
 # formula-level commands
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> Report:
     sig = _signature_for(args)
     phi = parse_formula(args.formula, sig)
     fv = sorted(free_vars(phi))
-    _emit(args, {"formula": render(phi), "free_variables": fv},
-          [render(phi), f"free variables: {', '.join(fv) if fv else '(none)'}"])
-    return OK
+    return OK, {"formula": render(phi), "free_variables": fv}, [
+        render(phi), f"free variables: {', '.join(fv) if fv else '(none)'}"
+    ]
 
 
-def cmd_cert(args) -> int:
+def cmd_cert(args) -> Report:
     sig = _signature_for(args)
     phi = parse_formula(args.formula, sig)
     cert = certificate(phi, sig)
-    _emit(args, {"formula": render(phi), "lam": _fmt(cert.lam), "bound": _fmt(cert.bound)},
-          [f"lam = {_fmt(cert.lam)}", f"bound = {_fmt(cert.bound)}"])
-    return OK
+    return OK, {"formula": render(phi), "lam": _fmt(cert.lam), "bound": _fmt(cert.bound)}, [
+        f"lam = {_fmt(cert.lam)}", f"bound = {_fmt(cert.bound)}"
+    ]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Report:
     M = load_structure(args.structure)
     phi = parse_formula(args.formula, M.signature())
-    asg = _assignment(M, args.assign)
+    asg = {
+        name.strip(): _element(M, value)
+        for name, value in _pairs("--assign", "NAME=ELEMENT", args.assign)
+    }
     value = eval_formula(M, phi, asg)
-    _emit(args, {"value": _fmt(value)}, [_fmt(value)])
-    return OK
+    return OK, {"value": _fmt(value)}, [_fmt(value)]
 
 
-def cmd_automorphisms(args) -> int:
+def cmd_automorphisms(args) -> Report:
     M = load_structure(args.structure)
     perms = automorphisms(M)
-    lines = [f"{len(perms)} automorphisms"]
-    for perm in perms:
-        lines.append("  " + " ".join(f"{M.elements[i]}->{M.elements[j]}" for i, j in enumerate(perm)))
-    _emit(args, {"count": len(perms), "permutations": [list(p) for p in perms]}, lines)
-    return OK
+    lines = [f"{len(perms)} automorphisms"] + ["  " + _moves(M, perm) for perm in perms]
+    return OK, {"count": len(perms), "permutations": [list(p) for p in perms]}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +241,7 @@ def _mean_inputs(args):
     return structures, mu
 
 
-def cmd_ultramean_build(args) -> int:
+def cmd_ultramean_build(args) -> Report:
     structures, mu = _mean_inputs(args)
     mean = build_ultramean(structures, mu, cap=args.cap)
     report = {
@@ -237,23 +250,16 @@ def cmd_ultramean_build(args) -> int:
         "elements": list(mean.structure.elements),
     }
     lines = [f"{mean.structure.size} classes over support {list(mean.support)}"]
-    if args.out:
-        save_structure(mean.structure, args.out)
-        report["out"] = args.out
-        lines.append(f"wrote {args.out}")
-    _emit(args, report, lines)
-    return OK
+    _save_out(mean.structure, args.out, report, lines)
+    return OK, report, lines
 
 
-def cmd_ultramean_verify(args) -> int:
+def cmd_ultramean_verify(args) -> Report:
     structures, mu = _mean_inputs(args)
     sig = structures[0].signature()
     phi = parse_formula(args.formula, sig)
     raw_tuples: dict[str, tuple[int, ...]] = {}
-    for pair in args.assign or []:
-        if "=" not in pair:
-            raise CliError(f"--assign expects NAME=i,j,..., got {pair!r}")
-        name, value = pair.split("=", 1)
+    for name, value in _pairs("--assign", "NAME=i,j,...", args.assign):
         parts = [p for p in value.split(",") if p.strip()]
         if len(parts) != len(structures):
             raise CliError(f"assignment for {name!r} needs one element per factor")
@@ -271,40 +277,36 @@ def cmd_ultramean_verify(args) -> int:
         f"integral side: {_fmt(report.integral_value)}",
         "equal" if report.equal else "NOT EQUAL",
     ]
-    _emit(args, payload, lines)
-    return OK if report.equal else CHECK_FALSE
+    return (OK if report.equal else CHECK_FALSE), payload, lines
 
 
 # ---------------------------------------------------------------------------
 # type-space commands
 
 
-def cmd_types_hull(args) -> int:
+def cmd_types_hull(args) -> Report:
     M, family, hull = _load_hull(args)
     lines = [f"{len(hull)} realized type vectors over {len(family)} formulas"]
     vertices = []
     for i, v in enumerate(hull.vertices):
-        vals = "(" + ", ".join(_fmt(x) for x in v.values) + ")"
         reals = " ".join(_labels(M, a) for a in hull.realizations[i])
-        lines.append(f"  [{i}] {vals} realized by {reals}")
+        lines.append(f"  [{i}] {_vec(v.values)} realized by {reals}")
         vertices.append({
             "values": [_fmt(x) for x in v.values],
-            "realizations": [[M.elements[i_] for i_ in a] for a in hull.realizations[i]],
+            "realizations": [_names(M, a) for a in hull.realizations[i]],
         })
-    _emit(args, {"vertices": vertices, "first_order": hull.first_order}, lines)
-    return OK
+    return OK, {"vertices": vertices, "first_order": hull.first_order}, lines
 
 
-def cmd_types_extreme(args) -> int:
+def cmd_types_extreme(args) -> Report:
     M, family, hull = _load_hull(args)
     rep = extreme_points(hull)
     lines = [f"{len(rep.extreme)} extreme / {len(hull)} vertices"]
     payload = {"extreme": [], "non_extreme": []}
     for ev in rep.extreme:
-        vals = "(" + ", ".join(_fmt(x) for x in hull.vertices[ev.index].values) + ")"
         lines.append(
-            f"  [{ev.index}] {vals} extreme; functional offset {_fmt(ev.offset)}, "
-            f"coeffs ({', '.join(_fmt(c) for c in ev.coeffs)})"
+            f"  [{ev.index}] {_vec(hull.vertices[ev.index].values)} extreme; "
+            f"functional offset {_fmt(ev.offset)}, coeffs {_vec(ev.coeffs)}"
         )
         payload["extreme"].append({
             "index": ev.index,
@@ -318,11 +320,10 @@ def cmd_types_extreme(args) -> int:
             "index": nv.index,
             "weights": {str(j): _fmt(w) for j, w in nv.weights.items()},
         })
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_types_face(args) -> int:
+def cmd_types_face(args) -> Report:
     M, family, hull = _load_hull(args)
     P = load_predicate(args.predicate)
     face = exposed_face(hull, P.values, maximize=args.max)
@@ -341,11 +342,10 @@ def cmd_types_face(args) -> int:
         "offset": _fmt(face.offset),
         "coeffs": [_fmt(c) for c in face.coeffs],
     }
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_types_facial(args) -> int:
+def cmd_types_facial(args) -> Report:
     M, family, hull = _load_hull(args)
     sig = M.signature()
     conditions = [parse_condition(text, sig) for text in args.condition]
@@ -358,10 +358,8 @@ def cmd_types_facial(args) -> int:
     if rep.violation is not None:
         v = rep.violation
         lines.append(
-            f"  violation: gamma={_fmt(v.gamma)} mix of "
-            f"({', '.join(_fmt(x) for x in v.endpoint)}) and "
-            f"({', '.join(_fmt(x) for x in v.partner)}) lies in the cut, "
-            f"endpoint fails condition {v.functional_index}"
+            f"  violation: gamma={_fmt(v.gamma)} mix of {_vec(v.endpoint)} and "
+            f"{_vec(v.partner)} lies in the cut, endpoint fails condition {v.functional_index}"
         )
         payload["violation"] = {
             "gamma": _fmt(v.gamma),
@@ -370,23 +368,17 @@ def cmd_types_facial(args) -> int:
             "partner": [_fmt(x) for x in v.partner],
             "condition": v.functional_index,
         }
-    _emit(args, payload, lines)
-    return OK if rep.is_face else CHECK_FALSE
+    return (OK if rep.is_face else CHECK_FALSE), payload, lines
 
 
-def cmd_types_satisfiable(args) -> int:
+def cmd_types_satisfiable(args) -> Report:
     M = load_structure(args.structure)
     sig = M.signature()
     conditions = [parse_condition(text, sig) for text in args.condition]
     res = affine_satisfiable(M, conditions, _vars(args), cap=args.cap)
     if res.satisfiable:
-        witness = _present(res.witness, "witness")
-        payload = {"satisfiable": True, "witness": _witness_obj(M, witness)}
-        mix = ", ".join(
-            f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(witness.items())
-        )
-        _emit(args, payload, [f"satisfiable by mixture {{{mix}}}"])
-        return OK
+        witness, mix = _distribution(M, _present(res.witness, "witness"))
+        return OK, {"satisfiable": True, "witness": witness}, [f"satisfiable by mixture {mix}"]
     farkas = _present(res.farkas, "Farkas vector")
     payload = {
         "satisfiable": False,
@@ -394,39 +386,26 @@ def cmd_types_satisfiable(args) -> int:
         "margin": _fmt(res.margin),
     }
     lines = [
-        "refuted: nonnegative combination "
-        f"({', '.join(_fmt(c) for c in farkas)}) has margin {_fmt(res.margin)} < 0"
+        f"refuted: nonnegative combination {_vec(farkas)} has margin {_fmt(res.margin)} < 0"
     ]
-    _emit(args, payload, lines)
-    return CHECK_FALSE
+    return CHECK_FALSE, payload, lines
 
 
-def _measure_arg(text: str) -> dict[int, Fraction]:
+def cmd_types_barycenter(args) -> Report:
+    M, family, hull = _load_hull(args)
     weights = {}
-    for pair in text.split(","):
-        if not pair.strip():
-            continue
-        if "=" not in pair:
-            raise CliError(f"--weights expects INDEX=p/q, got {pair!r}")
-        idx, w = pair.split("=", 1)
+    items = [item for item in args.weights.split(",") if item.strip()]
+    for idx, w in _pairs("--weights", "INDEX=p/q", items):
         try:
             index = int(idx)
         except ValueError:
             raise CliError(f"--weights index {idx.strip()!r} is not an integer") from None
         weights[index] = parse_rational(w)
-    return weights
+    p = barycenter(hull, BoundaryMeasure(weights))
+    return OK, {"values": [_fmt(x) for x in p.values]}, [_vec(p.values)]
 
 
-def cmd_types_barycenter(args) -> int:
-    M, family, hull = _load_hull(args)
-    measure = BoundaryMeasure(_measure_arg(args.weights))
-    p = barycenter(hull, measure)
-    payload = {"values": [_fmt(x) for x in p.values]}
-    _emit(args, payload, ["(" + ", ".join(_fmt(x) for x in p.values) + ")"])
-    return OK
-
-
-def cmd_types_keisler(args) -> int:
+def cmd_types_keisler(args) -> Report:
     M, family, hull = _load_hull(args)
     if (args.point is None) == (args.values is None):
         raise CliError("give exactly one of --point or --values")
@@ -443,17 +422,15 @@ def cmd_types_keisler(args) -> int:
     for i, w in sorted(measure.weights.items()):
         reals = " ".join(_labels(M, a) for a in hull.realizations[i])
         lines.append(f"  vertex {i} ({reals}): {_fmt(w)}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_types_distance(args) -> int:
+def cmd_types_distance(args) -> Report:
     M, family, hull = _load_hull(args)
     p = realized_type(M, _tuple_of(M, args.left), family)
     q = realized_type(M, _tuple_of(M, args.right), family)
     value = type_distance(p, q)
-    _emit(args, {"distance": _fmt(value)}, [_fmt(value)])
-    return OK
+    return OK, {"distance": _fmt(value)}, [_fmt(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +452,7 @@ def _axiom_checks(M: FiniteStructure, rep):
             if label == "approachable":
                 a, farkas = check.witness
                 witness = {"point": _labels(M, a), "farkas": [_fmt(r) for r in farkas]}
-                line += f" at {witness['point']}, Farkas pair ({', '.join(witness['farkas'])})"
+                line += f" at {witness['point']}, Farkas pair {_vec(farkas)}"
             else:
                 witness = [_labels(M, a) for a in check.witness]
                 line += f" at {' '.join(witness)}"
@@ -483,57 +460,49 @@ def _axiom_checks(M: FiniteStructure, rep):
         yield label, entry, line
 
 
-def cmd_def_distance_axioms(args) -> int:
+def cmd_def_distance_axioms(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
     rep = check_distance_axioms(M, P)
     checks = list(_axiom_checks(M, rep))
-    _emit(args, {label: entry for label, entry, _ in checks}, [line for _, _, line in checks])
-    return OK if rep.ok else CHECK_FALSE
+    payload = {label: entry for label, entry, _ in checks}
+    return (OK if rep.ok else CHECK_FALSE), payload, [line for _, _, line in checks]
 
 
-def cmd_def_recover(args) -> int:
+def cmd_def_recover(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
     axioms = check_distance_axioms(M, P)
     if not axioms.ok:
         failing = [line for _, entry, line in _axiom_checks(M, axioms) if not entry["ok"]]
         reason = "distance axioms fail, refusing to recover: " + "; ".join(failing)
-        _emit(args, {"recovered": None, "error": reason}, [f"refused: {reason}"])
-        return CHECK_FALSE
-    zero = zeroset_recover(M, P)
-    tuples = sorted(zero)
-    payload = {"zero_set": [[M.elements[i] for i in a] for a in tuples]}
-    lines = ["zero set: " + " ".join(_labels(M, a) for a in tuples)]
-    _emit(args, payload, lines)
-    return OK
+        return CHECK_FALSE, {"recovered": None, "error": reason}, [f"refused: {reason}"]
+    tuples = sorted(zeroset_recover(M, P))
+    payload = {"zero_set": [_names(M, a) for a in tuples]}
+    return OK, payload, ["zero set: " + " ".join(_labels(M, a) for a in tuples)]
 
 
-def cmd_def_domination(args) -> int:
+def cmd_def_domination(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.lower)
     Q = load_predicate(args.upper)
     res = lambda_domination(M, P, Q, parse_rational(args.eps))
     if res.dominates:
         lam = _present(res.lam, "lam")
-        _emit(args, {"dominates": True, "lam": _fmt(lam)}, [f"lam = {_fmt(lam)}"])
-        return OK
+        return OK, {"dominates": True, "lam": _fmt(lam)}, [f"lam = {_fmt(lam)}"]
     witness = _present(res.witness, "witness")
-    payload = {"dominates": False, "witness": [M.elements[i] for i in witness]}
-    _emit(args, payload,
-          [f"no lam works: at {_labels(M, witness)} P = 0 < Q"])
-    return CHECK_FALSE
+    payload = {"dominates": False, "witness": _names(M, witness)}
+    return CHECK_FALSE, payload, [f"no lam works: at {_labels(M, witness)} P = 0 < Q"]
 
 
-def cmd_def_predicate(args) -> int:
+def cmd_def_predicate(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
     family = load_family(args.family, M.signature(), _vars(args))
-    rep = is_definable_predicate(M, P, family)
-    return _emit_definability(args, M, rep)
+    return _definability_report(M, is_definable_predicate(M, P, family))
 
 
-def _emit_definability(args, M: FiniteStructure, rep) -> int:
+def _definability_report(M: FiniteStructure, rep) -> Report:
     if rep.definable:
         w = rep.witness
         payload = {
@@ -547,30 +516,27 @@ def _emit_definability(args, M: FiniteStructure, rep) -> int:
                 f"{_fmt(c)}*F{j}" for j, c in enumerate(w.coeffs) if c != 0
             ])
         ]
-        _emit(args, payload, lines)
-        return OK
+        return OK, payload, lines
     payload = {"definable": False}
     lines = ["not definable over the family"]
     if rep.conflict is not None:
         a, b = rep.conflict.key_a, rep.conflict.key_b
         lines.append(f"  tuples {_labels(M, a)} and {_labels(M, b)} share family values but differ")
-        payload["conflict"] = [[M.elements[i] for i in a], [M.elements[i] for i in b]]
+        payload["conflict"] = [_names(M, a), _names(M, b)]
     if rep.residue is not None:
         payload["residue"] = True
         lines.append("  linear system inconsistent over the realized vectors")
-    _emit(args, payload, lines)
-    return CHECK_FALSE
+    return CHECK_FALSE, payload, lines
 
 
-def cmd_def_set(args) -> int:
+def cmd_def_set(args) -> Report:
     M = load_structure(args.structure)
     D = _tuple_set(M, args.set)
     family = load_family(args.family, M.signature(), _vars(args))
-    rep = is_definable_set(M, D, family)
-    return _emit_definability(args, M, rep)
+    return _definability_report(M, is_definable_set(M, D, family))
 
 
-def cmd_def_project(args) -> int:
+def cmd_def_project(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
     D = _tuple_set(M, args.set)
@@ -582,45 +548,28 @@ def cmd_def_project(args) -> int:
     lines = ["identity holds" if rep.identity_holds else "identity FAILS"]
     for a, v in sorted(rep.table.values.items()):
         lines.append(f"  Q{_labels(M, a)} = {_fmt(v)}")
-    _emit(args, payload, lines)
-    return OK if rep.identity_holds else CHECK_FALSE
+    return (OK if rep.identity_holds else CHECK_FALSE), payload, lines
 
 
-def cmd_def_invariant_type(args) -> int:
+def cmd_def_invariant_type(args) -> Report:
     M = load_structure(args.structure)
     f = load_function_table(args.function)
     family = load_family(args.family, M.signature(), _vars(args))
     p = invariant_type(M, f, family)
-    witness = _present(p.witness, "witness")
-    payload = {
-        "values": [_fmt(x) for x in p.values],
-        "witness": _witness_obj(M, witness),
-    }
-    mix = ", ".join(f"{_labels(M, a)}:{_fmt(w)}" for a, w in sorted(witness.items()))
-    lines = [
-        "type values: (" + ", ".join(_fmt(x) for x in p.values) + ")",
-        f"witness distribution {{{mix}}}",
-    ]
-    _emit(args, payload, lines)
-    return OK
+    witness, mix = _distribution(M, _present(p.witness, "witness"))
+    payload = {"values": [_fmt(x) for x in p.values], "witness": witness}
+    return OK, payload, [f"type values: {_vec(p.values)}", f"witness distribution {mix}"]
 
 
-def cmd_def_auto_invariant(args) -> int:
+def cmd_def_auto_invariant(args) -> Report:
     M = load_structure(args.structure)
     P = load_predicate(args.predicate)
     rep = automorphism_invariant(M, P)
     if rep.invariant:
-        _emit(args, {"invariant": True}, ["invariant under all automorphisms"])
-        return OK
+        return OK, {"invariant": True}, ["invariant under all automorphisms"]
     perm, a = rep.witness
-    payload = {
-        "invariant": False,
-        "permutation": list(perm),
-        "tuple": [M.elements[i] for i in a],
-    }
-    moves = " ".join(f"{M.elements[i]}->{M.elements[j]}" for i, j in enumerate(perm))
-    _emit(args, payload, [f"NOT invariant: {moves} moves {_labels(M, a)}"])
-    return CHECK_FALSE
+    payload = {"invariant": False, "permutation": list(perm), "tuple": _names(M, a)}
+    return CHECK_FALSE, payload, [f"NOT invariant: {_moves(M, perm)} moves {_labels(M, a)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +580,7 @@ def _algebra_for(args) -> MeasureAlgebra:
     return build_algebra(_fractions(args.atoms))
 
 
-def cmd_pra_build(args) -> int:
+def cmd_pra_build(args) -> Report:
     A = _algebra_for(args)
     M = A.to_structure()
     payload = {"atoms": [_fmt(w) for w in A.weights], "elements": A.size}
@@ -644,15 +593,11 @@ def cmd_pra_build(args) -> int:
         payload["valid"] = None
         state = "validation skipped at this size"
     lines = [f"{A.size} elements over {A.k} atoms; export {state}"]
-    if args.out:
-        save_structure(M, args.out)
-        payload["out"] = args.out
-        lines.append(f"wrote {args.out}")
-    _emit(args, payload, lines)
-    return OK if validation is None or validation.ok else CHECK_FALSE
+    _save_out(M, args.out, payload, lines)
+    return (OK if validation is None or validation.ok else CHECK_FALSE), payload, lines
 
 
-def cmd_pra_interval(args) -> int:
+def cmd_pra_interval(args) -> Report:
     A = _algebra_for(args)
     x = _algebra_element(A, args.x)
     a = _algebra_element(A, args.a)
@@ -660,13 +605,13 @@ def cmd_pra_interval(args) -> int:
     value = interval_distance(A, x, a, b)
     proj = interval_projection(A, x, a, b)
     payload = {"distance": _fmt(value), "projection": A.label(proj)}
-    _emit(args, payload,
-          [f"d({A.label(x)}, [{A.label(a)},{A.label(b)}]) = {_fmt(value)}",
-           f"nearest point {A.label(proj)}"])
-    return OK
+    return OK, payload, [
+        f"d({A.label(x)}, [{A.label(a)},{A.label(b)}]) = {_fmt(value)}",
+        f"nearest point {A.label(proj)}",
+    ]
 
 
-def cmd_pra_hahn(args) -> int:
+def cmd_pra_hahn(args) -> Report:
     A = _algebra_for(args)
     values = _fractions(args.values)
     f = AdditiveFunction(tuple(values))
@@ -682,57 +627,36 @@ def cmd_pra_hahn(args) -> int:
         f"nonnegative part a = {A.label(rep.a)}, nonpositive part b = {A.label(rep.b)}",
         f"max {_fmt(rep.max_value)} attained exactly on [{A.label(rep.lower)}, {A.label(rep.upper)}]",
     ]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_pra_dcl(args) -> int:
+def cmd_pra_dcl(args) -> Report:
     A = _algebra_for(args)
-    S = [_algebra_element(A, part) for part in args.elements.split(";") if part.strip()]
-    closure = sorted(dcl(A, S))
-    payload = {"closure": [A.label(x) for x in closure]}
-    _emit(args, payload,
-          [f"{len(closure)} elements: " + " ".join(A.label(x) for x in closure)])
-    return OK
+    closure = [A.label(x) for x in sorted(dcl(A, _algebra_elements(A, args.elements)))]
+    return OK, {"closure": closure}, [f"{len(closure)} elements: " + " ".join(closure)]
 
 
-def cmd_pra_definable(args) -> int:
+def cmd_pra_definable(args) -> Report:
     A = _algebra_for(args)
-    D = [_algebra_element(A, part) for part in args.elements.split(";") if part.strip()]
-    rep = pra_definable_check(A, D)
+    rep = pra_definable_check(A, _algebra_elements(A, args.elements))
     if rep.definable:
         payload = {"definable": True, "lower": A.label(rep.lower), "upper": A.label(rep.upper)}
-        _emit(args, payload,
-              [f"definable: D = [{A.label(rep.lower)}, {A.label(rep.upper)}]"])
-        return OK
+        return OK, payload, [f"definable: D = [{A.label(rep.lower)}, {A.label(rep.upper)}]"]
     payload = {"definable": False, "witness": A.label(rep.witness)}
-    _emit(args, payload,
-          [f"not definable: {A.label(rep.witness)} lies in "
-           f"[{A.label(rep.lower)}, {A.label(rep.upper)}] but not in D"])
-    return CHECK_FALSE
+    return CHECK_FALSE, payload, [
+        f"not definable: {A.label(rep.witness)} lies in "
+        f"[{A.label(rep.lower)}, {A.label(rep.upper)}] but not in D"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def cmd_suite(args) -> int:
-    names = args.names or None
-    results = run_suites(names, seed=args.seed)
-    payload = []
-    for res in results:
-        if not args.json:
-            print(res.line())
-        payload.append({
-            "name": res.name,
-            "ok": res.ok,
-            "checked": res.checked,
-            "seconds": res.seconds,
-            "detail": res.detail,
-        })
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    return OK if all(r.ok for r in results) else CHECK_FALSE
+def cmd_suite(args) -> Report:
+    results = run_suites(args.names or None, seed=args.seed)
+    code = OK if all(r.ok for r in results) else CHECK_FALSE
+    return code, [asdict(r) for r in results], [r.line() for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command, print its report and return its exit code.
 
     The parser comes from `build_parser`, built on the first call in a
     process and reused by every later one.  Errors map to exit codes by
@@ -887,12 +811,18 @@ def main(argv: list[str] | None = None) -> int:
     `affinelogic.errors`): one line `label: message` goes to stderr.  A
     point with no boundary decomposition exits 1; bad input, such as a
     malformed file or a family that does not separate the extreme
-    vertices, and an unreadable file (OSError) exit 2; a result that
-    failed its own re-check exits 3.
+    vertices, an unreadable file and an unwritable output (OSError) exit
+    2; a result that failed its own re-check exits 3.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (AffineLogicError, OSError) as exc:
         label = getattr(exc, "label", AffineLogicError.label)
         print(f"{label}: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -183,6 +183,11 @@ class DistanceAxiomReport:
     def ok(self) -> bool:
         return self.nonnegative.ok and self.nonexpansive.ok and self.approachable.ok
 
+    @property
+    def failing(self) -> list[str]:
+        """Names of the failing axioms, in the order above."""
+        return [f.name for f in fields(self) if not getattr(self, f.name).ok]
+
     def __bool__(self) -> bool:
         return self.ok
 
@@ -276,7 +281,9 @@ def zeroset_recover(M: FiniteStructure, P: PredicateTable) -> frozenset[tuple[in
     """
     report = check_distance_axioms(M, P)
     if not report.ok:
-        raise DefinabilityError(f"distance axioms fail, refusing to recover: {report}")
+        raise DefinabilityError(
+            "distance axioms fail, refusing to recover: " + ", ".join(report.failing)
+        )
     zero = frozenset(a for a, v in P.values.items() if v == 0)
     back = distance_predicate(M, zero, P.arity)
     if back.values != P.values:

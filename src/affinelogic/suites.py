@@ -267,7 +267,8 @@ def run_distance_axioms(seed: int = 0, instances: int = 500) -> SuiteResult:
         P = distance_predicate(M, D, n)
         rep = check_distance_axioms(M, P)
         if not rep.ok:
-            return _result(name, start, False, i + 1, f"instance {i}: axioms fail: {rep}")
+            detail = f"instance {i}: axioms fail: {', '.join(rep.failing)}"
+            return _result(name, start, False, i + 1, detail)
         back = zeroset_recover(M, P)
         if back != D:
             return _result(name, start, False, i + 1, f"instance {i}: recovered {sorted(back)}")

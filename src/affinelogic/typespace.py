@@ -386,6 +386,16 @@ class FaceReport:
         return self.is_face
 
 
+def _gap_table(
+    M: FiniteStructure, cond: Condition, variables: Sequence[str]
+) -> dict[tuple[int, ...], Fraction]:
+    """rhs - lhs of the condition at every assignment of `variables`, keyed
+    in itertools.product order (see `eval_table`)."""
+    lhs = eval_table(M, cond.lhs, variables)
+    rhs = eval_table(M, cond.rhs, variables)
+    return {a: rhs[a] - lhs[a] for a in lhs}
+
+
 def condition_functionals(
     hull: TypeHull, conditions: Sequence[Condition]
 ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
@@ -398,11 +408,9 @@ def condition_functionals(
             raise TypespaceError(
                 f"condition uses variables outside the family tuple: {sorted(fv)}"
             )
-        lhs_t = eval_table(hull.structure, cond.lhs, hull.family.variables)
-        rhs_t = eval_table(hull.structure, cond.rhs, hull.family.variables)
-        diff = {a: rhs_t[a] - lhs_t[a] for a in lhs_t}
         out.append(_affine_in_family(
-            hull, diff, "condition is not affine in the family coordinates"
+            hull, _gap_table(hull.structure, cond, hull.family.variables),
+            "condition is not affine in the family coordinates",
         ))
     return out
 
@@ -550,11 +558,7 @@ def affine_satisfiable(
     tuples = list(itertools.product(range(M.size), repeat=n))
     if not conditions:
         return SatisfiabilityResult(True, witness={tuples[0]: ONE})
-    gaps = []
-    for cond in conditions:
-        lhs_t = eval_table(M, cond.lhs, variables)
-        rhs_t = eval_table(M, cond.rhs, variables)
-        gaps.append({a: rhs_t[a] - lhs_t[a] for a in tuples})
+    gaps = [_gap_table(M, cond, variables) for cond in conditions]
     return affine_satisfiable_tables(tuples, gaps)
 
 

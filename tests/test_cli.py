@@ -1,6 +1,10 @@
 import copy
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 import affinelogic
 from affinelogic import cli, typespace
 from affinelogic.cli import build_parser, main
-from affinelogic.definability import FunctionTable, PredicateTable, distance_predicate
+from affinelogic.definability import (
+    FunctionTable,
+    PredicateTable,
+    distance_predicate,
+    predicate_from_formula,
+)
 from affinelogic.errors import AffineLogicError
 from affinelogic.linprog import UNBOUNDED, LinprogError, SimplexResult
 from affinelogic.model import FiniteStructure, RelationInterp
@@ -24,6 +33,7 @@ from affinelogic.serialize import (
     save_structure,
     structure_to_dict,
 )
+from affinelogic.syntax import parse_formula
 from affinelogic.typespace import SatisfiabilityResult
 
 ZERO = F(0)
@@ -88,6 +98,14 @@ def work(tmp_path):
     squared = PredicateTable(1, {a: v * v for a, v in mu.items()})
     paths["squared"] = str(tmp_path / "squared.json")
     save_predicate(squared, paths["squared"])
+
+    paths["dxy"] = str(tmp_path / "dxy.json")
+    save_predicate(predicate_from_formula(A, parse_formula("d(x, y)", A.signature()), ("x", "y")),
+                   paths["dxy"])
+
+    const = PredicateTable(1, {(x,): F(1, 2) for x in range(4)})
+    paths["const"] = str(tmp_path / "const.json")
+    save_predicate(const, paths["const"])
 
     paths["compl"] = str(tmp_path / "compl.json")
     save_function_table(
@@ -466,17 +484,9 @@ def test_defcheck_set(capsys, work):
 
 
 def test_defcheck_project(capsys, work):
-    dxy = str(work["tmp"] / "dxy.json")
-    from affinelogic.definability import predicate_from_formula
-    from affinelogic.serialize import load_structure
-    from affinelogic.syntax import parse_formula
-
-    M = load_structure(work["alg"])
-    P = predicate_from_formula(M, parse_formula("d(x, y)", M.signature()), ("x", "y"))
-    save_predicate(P, dxy)
     code, out, _ = run(capsys, [
         "defcheck", "project", "--structure", work["alg"],
-        "--predicate", dxy, "--set", "00", "--lam", "1",
+        "--predicate", work["dxy"], "--set", "00", "--lam", "1",
     ])
     assert code == 0
     assert "identity holds" in out
@@ -891,3 +901,202 @@ def test_mutated_file_exits_2_with_one_line(reference_files, kind, data):
                      "--family", str(reference_files / "family.txt"), "--function", str(bad)],
     }[kind]
     _assert_one_error_line(*_main_quietly(argv))
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: every subcommand and branch, as text and as --json, with
+# the exit code and the complete stdout and stderr pinned in cli_golden.txt
+
+GOLDEN_CASES = [
+    ("parse", ["parse", "inf y . d(x , y)"]),
+    ("parse-closed", ["parse", "sup x. mu(x) + -1/2 * 1", "--structure", "{alg}"]),
+    ("parse-error", ["parse", "sup ."]),
+    ("cert", ["cert", "1/2 * d(x, y) + mu(x)", "--structure", "{alg}"]),
+    ("eval", ["eval", "sup y. d(x, y) + -1 * mu(x)", "--structure", "{alg}", "--assign", "x=10"]),
+    ("eval-by-index", ["eval", "d(x, y)", "--structure", "{alg}", "--assign", "x=1", "--assign", "y=2"]),
+    ("eval-assign-form", ["eval", "mu(x)", "--structure", "{alg}", "--assign", "x11"]),
+    ("eval-unknown-element", ["eval", "mu(x)", "--structure", "{alg}", "--assign", "x=zz"]),
+    ("eval-element-range", ["eval", "mu(x)", "--structure", "{alg}", "--assign", "x=4"]),
+    ("eval-missing-file", ["eval", "mu(x)", "--structure", "{tmp}/nope.json"]),
+    ("automorphisms", ["automorphisms", "--structure", "{alg}"]),
+    ("automorphisms-fo", ["automorphisms", "--structure", "{fo}"]),
+    ("ultramean-build", ["ultramean", "build", "--structure", "{alg}", "--structure", "{alg}",
+                         "--mu", "1/3,2/3"]),
+    ("ultramean-build-out", ["ultramean", "build", "--structure", "{fo}", "--structure", "{fo}",
+                             "--mu", "0,1", "--out", "{tmp}/mean.json"]),
+    ("ultramean-build-weights", ["ultramean", "build", "--structure", "{alg}", "--mu", "1/2,1/2"]),
+    ("ultramean-verify", ["ultramean", "verify", "sup y. d(x, y) + -1 * mu(x)",
+                          "--structure", "{alg}", "--structure", "{alg}", "--mu", "1/3,2/3",
+                          "--assign", "x=01,10"]),
+    ("ultramean-verify-assign-form", ["ultramean", "verify", "mu(x)", "--structure", "{alg}",
+                                      "--structure", "{alg}", "--mu", "1/3,2/3",
+                                      "--assign", "x01,10"]),
+    ("ultramean-verify-assign-count", ["ultramean", "verify", "mu(x)", "--structure", "{alg}",
+                                       "--structure", "{alg}", "--mu", "1/3,2/3",
+                                       "--assign", "x=01"]),
+    ("types-hull", ["types", "hull", "--structure", "{alg}", "--family", "{family}"]),
+    ("types-hull-fo", ["types", "hull", "--structure", "{fo}", "--family", "{family_fo}"]),
+    ("types-extreme", ["types", "extreme", "--structure", "{alg}", "--family", "{family}"]),
+    ("types-face-max", ["types", "face", "--structure", "{alg}", "--family", "{family}",
+                        "--predicate", "{mu}", "--max"]),
+    ("types-face-min", ["types", "face", "--structure", "{alg}", "--family", "{family}",
+                        "--predicate", "{dist0}"]),
+    ("types-face-constant", ["types", "face", "--structure", "{alg}", "--family", "{family}",
+                             "--predicate", "{const}"]),
+    ("types-face-not-affine", ["types", "face", "--structure", "{alg}", "--family", "{family}",
+                               "--predicate", "{squared}"]),
+    ("types-facial", ["types", "facial", "--structure", "{alg}", "--family", "{family}",
+                      "--condition", "mu(x) <= 0 * 1"]),
+    ("types-facial-violation", ["types", "facial", "--structure", "{alg}", "--family", "{family}",
+                                "--condition", "1/2 * 1 <= mu(x)",
+                                "--condition", "mu(x) <= 1/2 * 1"]),
+    ("types-satisfiable", ["types", "satisfiable", "--structure", "{alg}",
+                           "--condition", "1/2 * 1 <= mu(x)", "--condition", "mu(x) <= 1/2 * 1"]),
+    ("types-satisfiable-vars", ["types", "satisfiable", "--structure", "{fo}", "--vars", "x,y",
+                                "--condition", "1 <= d(x, y)", "--condition", "1 <= R0(x) + R1(y)"]),
+    ("types-satisfiable-refuted", ["types", "satisfiable", "--structure", "{alg}",
+                                   "--condition", "1 <= mu(x)", "--condition", "mu(x) <= 0 * 1"]),
+    ("types-barycenter", ["types", "barycenter", "--structure", "{fo}", "--family", "{family_fo}",
+                          "--weights", "0=1/2,1=1/4,2=1/4"]),
+    ("types-barycenter-weights-form", ["types", "barycenter", "--structure", "{fo}",
+                                       "--family", "{family_fo}", "--weights", "0:1"]),
+    ("types-barycenter-weights-index", ["types", "barycenter", "--structure", "{fo}",
+                                        "--family", "{family_fo}", "--weights", "a=1/2"]),
+    ("types-keisler-values", ["types", "keisler", "--structure", "{fo}", "--family", "{family_fo}",
+                              "--values", "1/4,1/4"]),
+    ("types-keisler-point", ["types", "keisler", "--structure", "{fo}", "--family", "{family_fo}",
+                             "--point", "v"]),
+    ("types-keisler-no-decomposition", ["types", "keisler", "--structure", "{alg}",
+                                        "--family", "{family}", "--point", "00"]),
+    ("types-keisler-flags", ["types", "keisler", "--structure", "{fo}", "--family", "{family_fo}"]),
+    ("types-keisler-values-count", ["types", "keisler", "--structure", "{fo}",
+                                    "--family", "{family_fo}", "--values", "1/4"]),
+    ("types-distance", ["types", "distance", "--structure", "{alg}", "--family", "{family}",
+                        "--left", "00", "--right", "11"]),
+    ("defcheck-distance-axioms", ["defcheck", "distance-axioms", "--structure", "{alg}",
+                                  "--predicate", "{dist0}"]),
+    ("defcheck-distance-axioms-fail", ["defcheck", "distance-axioms", "--structure", "{alg}",
+                                       "--predicate", "{shifted}"]),
+    ("defcheck-recover", ["defcheck", "recover", "--structure", "{alg}", "--predicate", "{dist0}"]),
+    ("defcheck-recover-refused", ["defcheck", "recover", "--structure", "{alg}",
+                                  "--predicate", "{shifted}"]),
+    ("defcheck-domination", ["defcheck", "domination", "--structure", "{alg}",
+                             "--lower", "{dist0}", "--upper", "{biased}", "--eps", "1/10"]),
+    ("defcheck-domination-witness", ["defcheck", "domination", "--structure", "{alg}",
+                                     "--lower", "{biased}", "--upper", "{mu}"]),
+    ("defcheck-predicate", ["defcheck", "predicate", "--structure", "{alg}", "--family", "{family}",
+                            "--predicate", "{mu}"]),
+    ("defcheck-predicate-conflict", ["defcheck", "predicate", "--structure", "{alg}",
+                                     "--family", "{family}", "--predicate", "{biased}"]),
+    ("defcheck-predicate-residue", ["defcheck", "predicate", "--structure", "{alg}",
+                                    "--family", "{family}", "--predicate", "{squared}"]),
+    ("defcheck-set", ["defcheck", "set", "--structure", "{alg}", "--family", "{family}",
+                      "--set", "00"]),
+    ("defcheck-set-conflict", ["defcheck", "set", "--structure", "{alg}", "--family", "{family}",
+                               "--set", "10"]),
+    ("defcheck-set-residue", ["defcheck", "set", "--structure", "{alg}", "--family", "{family}",
+                              "--set", "00;11"]),
+    ("defcheck-set-empty", ["defcheck", "set", "--structure", "{alg}", "--family", "{family}",
+                            "--set", ";"]),
+    ("defcheck-project", ["defcheck", "project", "--structure", "{alg}", "--predicate", "{dxy}",
+                          "--set", "00;11", "--lam", "1"]),
+    ("defcheck-invariant-type", ["defcheck", "invariant-type", "--structure", "{alg}",
+                                 "--family", "{family}", "--function", "{compl}"]),
+    ("defcheck-auto-invariant", ["defcheck", "auto-invariant", "--structure", "{alg}",
+                                 "--predicate", "{mu}"]),
+    ("defcheck-auto-invariant-moved", ["defcheck", "auto-invariant", "--structure", "{alg}",
+                                       "--predicate", "{biased}"]),
+    ("pra-build", ["pra", "build", "--atoms", "1/2,1/3,1/6"]),
+    ("pra-build-out", ["pra", "build", "--atoms", "1/2,1/2", "--out", "{tmp}/pra.json"]),
+    ("pra-build-unvalidated", ["pra", "build", "--atoms", ",".join(["1/7"] * 7)]),
+    ("pra-build-sum", ["pra", "build", "--atoms", "1/2,1/3"]),
+    ("pra-interval", ["pra", "interval", "--atoms", "1/2,1/3,1/6",
+                      "-x", "001", "-a", "100", "-b", "110"]),
+    ("pra-interval-index", ["pra", "interval", "--atoms", "1/2,1/3,1/6",
+                            "-x", "6", "-a", "0", "-b", "1"]),
+    ("pra-interval-bad-element", ["pra", "interval", "--atoms", "1/2,1/3,1/6",
+                                  "-x", "0x1", "-a", "100", "-b", "110"]),
+    ("pra-hahn", ["pra", "hahn", "--atoms", "1/2,1/3,1/6", "--values", "1/4,-1/3,1/6"]),
+    ("pra-dcl", ["pra", "dcl", "--atoms", "1/2,1/3,1/6", "--elements", "100"]),
+    ("pra-dcl-two", ["pra", "dcl", "--atoms", "1/2,1/3,1/6", "--elements", "110;011"]),
+    ("pra-dcl-range", ["pra", "dcl", "--atoms", "1/2,1/3,1/6", "--elements", "8"]),
+    ("pra-definable", ["pra", "definable", "--atoms", "1/2,1/3,1/6", "--elements", "100;110"]),
+    ("pra-definable-witness", ["pra", "definable", "--atoms", "1/2,1/3,1/6",
+                               "--elements", "100;111"]),
+    ("suite", ["suite", "pra-extreme", "hahn"]),
+    ("suite-unknown", ["suite", "nope"]),
+]
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+
+def _golden_records() -> dict[str, tuple[int, str, str]]:
+    """`## name` opens a record; `exit N` is its code; `1|` and `2|` lines
+    are its stdout and stderr, each line ending in a newline."""
+    records = {}
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("## "):
+            name, streams = line[3:], {"1": "", "2": ""}
+        elif line.startswith("exit "):
+            code = int(line[5:])
+        elif line[1:2] == "|":
+            streams[line[0]] += line[2:] + "\n"
+        elif not line:
+            records[name] = (code, streams["1"], streams["2"])
+    return records
+
+
+def _golden_output(work, argv, mode):
+    """(exit code, stdout, stderr) of one case, with the tmp directory
+    written <tmp> and suite timings written <s>."""
+    argv = [arg.format(**work) for arg in argv] + (["--json"] if mode == "json" else [])
+    code, out, err = _main_quietly(argv)
+
+    def normal(text):
+        text = text.replace(str(work["tmp"]), "<tmp>")
+        text = re.sub(r" in \d+\.\ds", " in <s>s", text)
+        return re.sub(r'"seconds": [0-9.e-]+', '"seconds": <s>', text)
+
+    return code, normal(out), normal(err)
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_golden_output(work, name, argv, mode):
+    assert _golden_output(work, argv, mode) == _golden_records()[f"{name} {mode}"]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "mu(x)", "--structure", "{alg}", "--assign", "x=11"],
+    ["defcheck", "recover", "--structure", "{alg}", "--predicate", "{shifted}"],
+    ["suite", "pra-extreme"],
+])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_failed_write_exits_2_with_one_line(work, argv, mode):
+    # a closed pipe on stdout is an unwritable output, not a crash
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
+        code = main([arg.format(**work) for arg in argv] + mode)
+    assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "mu(x)", "--structure", "{alg}", "--assign", "x=11"], 0),
+    (["defcheck", "recover", "--structure", "{alg}", "--predicate", "{shifted}"], 1),
+])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_module_entry_point_matches_main(work, argv, expected, mode):
+    argv = [arg.format(**work) for arg in argv] + mode
+    # the package this process imported, ahead of any other on the path
+    package_root = str(Path(affinelogic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "affinelogic.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = _main_quietly(argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == expected

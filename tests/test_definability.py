@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affinelogic import definability
+from affinelogic import definability, suites
 from affinelogic.definability import (
     AxiomCheck,
     DefinabilityError,
@@ -114,10 +114,28 @@ def test_zeroset_recover_roundtrip(A2):
 
 
 def test_zeroset_recover_refuses_non_distance(A2):
+    # d(., {0}) shifted up by 1/10 is nonnegative and 1-Lipschitz, nowhere 0
     base = distance_predicate(A2, {(0,)})
     shifted = PredicateTable(1, {a: v + F(1, 10) for a, v in base.values.items()})
-    with pytest.raises(DefinabilityError):
-        zeroset_recover(A2, shifted)
+    steep = PredicateTable(1, {(0,): F(-1, 4), (1,): ONE, (2,): ZERO, (3,): ZERO})
+    for P, failing in (
+        (shifted, "approachable"),
+        (steep, "nonnegative, nonexpansive, approachable"),
+    ):
+        with pytest.raises(DefinabilityError) as info:
+            zeroset_recover(A2, P)
+        # the exact class: callers tell a refusal from other errors by its name
+        assert type(info.value) is DefinabilityError
+        assert str(info.value) == f"distance axioms fail, refusing to recover: {failing}"
+
+
+def test_distance_axiom_suite_names_the_failing_axioms(monkeypatch):
+    report = DistanceAxiomReport(
+        AxiomCheck(True), AxiomCheck(True), AxiomCheck(False, ((0,), (F(3, 4), F(1, 4))))
+    )
+    monkeypatch.setattr(suites, "check_distance_axioms", lambda M, P: report)
+    res = suites.run_distance_axioms(seed=0, instances=3)
+    assert (res.ok, res.checked, res.detail) == (False, 1, "instance 0: axioms fail: approachable")
 
 
 # Reference for the neighbour scan and the closed-form approachability test:
