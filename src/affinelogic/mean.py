@@ -129,14 +129,16 @@ def build_ultramean(
 
     # Every stored value is sum_i mu_i * v_i over the support, accumulated
     # from the factors' int forms as an int numerator over wden * lcm(their
-    # denominators), with one Fraction per distinct numerator.
+    # denominators), then reduced by the table's gcd, with one Fraction per
+    # distinct numerator.
     w, wden = int_row([mu.weights[i] for i in support])
     size = len(keys)
     gathers: dict[int, list[list[int]]] = {}
 
-    def average(forms, arity: int) -> list[Fraction]:
+    def average(forms, arity: int) -> tuple[tuple[int, ...], int]:
         """The mean of the support factors' row-major (nums, den) tables at
-        every quotient tuple of the arity, in product order."""
+        every quotient tuple of the arity, in product order, as int_row of
+        its values: int numerators over their least common denominator."""
         if arity not in gathers:
             # each factor's row-major index of every quotient tuple, built
             # once per arity: the metric and the binary relations share one
@@ -151,16 +153,21 @@ def build_ultramean(
         for wi, (t, d), idx in zip(w, forms, gathers[arity]):
             s = wi * (den // d)
             nums = [n + s * t[j] for n, j in zip(nums, idx)]
-        return fractions_over(nums, wden * den)
+        den *= wden
+        g = math.gcd(den, *nums)
+        return tuple(n // g for n in nums), den // g
+
+    def rows(flat) -> tuple:
+        return tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
 
     metrics = [M.int_metric for M in factors]
-    flat = average([([x for row in d for x in row], D) for d, D in metrics], 2)
-    metric = tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
-
+    dist, dist_den = average([([x for row in d for x in row], D) for d, D in metrics], 2)
+    int_relations = {name: average([M.int_relations[name] for M in factors], info.arity)
+                     for name, info in sigs[0].relations.items()}
     relations = {
         name: RelationInterp(info.arity, info.lam, dict(zip(
             itertools.product(range(size), repeat=info.arity),
-            average([M.int_relations[name] for M in factors], info.arity),
+            fractions_over(*int_relations[name]),
         )))
         for name, info in sigs[0].relations.items()
     }
@@ -180,11 +187,13 @@ def build_ultramean(
 
     quotient = FiniteStructure(
         elements=labels,
-        metric=metric,
+        metric=rows(fractions_over(dist, dist_den)),
         constants=constants,
         functions=functions,
         relations=relations,
     )
+    # the int forms its cached properties would derive again from the Fractions
+    quotient.__dict__.update(int_metric=(rows(dist), dist_den), int_relations=int_relations)
     return MeanStructure(quotient, tuple(structures), mu, tuple(reps), index, support)
 
 
@@ -224,9 +233,13 @@ def check_ultramean_identity(
 
     raw_tuples assigns to each free variable one element index per factor.
     The two values are exact rationals and the identity asserts equality.
+    A `mean` passed in must have been built from these structures and mu.
     """
     if mean is None:
         mean = build_ultramean(structures, mu)
+    elif mean.mu != mu or len(mean.factors) != len(structures) or any(
+            a is not b and a != b for a, b in zip(mean.factors, structures)):
+        raise MeanError("the mean was built from other structures or weights")
     fv = free_vars(phi)
     missing = fv - set(raw_tuples)
     if missing:

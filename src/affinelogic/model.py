@@ -50,7 +50,7 @@ class StructureError(AffineLogicError, ValueError):
 
 
 class EvalError(AffineLogicError, ValueError):
-    """Evaluation failed: unbound variable or uninterpreted symbol."""
+    """Evaluation failed: unbound or out-of-domain variable, or uninterpreted symbol."""
 
 
 @dataclass
@@ -352,8 +352,12 @@ def _term(M: FiniteStructure, t: Term, dom) -> tuple[tuple[str, ...], list[int]]
 
 
 def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _Table:
-    """Tabulate phi.  A chain of Sum/Scale nodes is unrolled into one affine
-    combination of its other subformulas, over the lcm of their denominators."""
+    """Tabulate phi."""
+    return _combine(_leaves(M, phi, dom), dom)
+
+
+def _leaves(M: FiniteStructure, phi: Formula, dom) -> list[tuple[Fraction, _Table]]:
+    """Unroll a Sum/Scale chain into (coefficient, table) leaves, left to right."""
     leaves: list[tuple[Fraction, _Table]] = []
     stack = [(ONE, phi)]
     while stack:
@@ -364,6 +368,12 @@ def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _
             stack.append((c * node.coeff, node.body))
         else:
             leaves.append((c, _leaf(M, node, dom)))
+    return leaves
+
+
+def _combine(leaves: list[tuple[Fraction, _Table]], dom) -> _Table:
+    """The affine combination of the leaves, over the union of their
+    variables and the lcm of their denominators."""
     if len(leaves) == 1 and leaves[0][0] == 1:
         return leaves[0][1]
     vs = tuple(sorted(set().union(*[t[0] for _, t in leaves])))
@@ -378,7 +388,9 @@ def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _
 
 
 def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _Table:
-    """Tabulate a One, Apply, Inf or Sup node."""
+    """Tabulate a One, Apply, Inf or Sup node.  inf/sup x reduces only the
+    body's leaves that mention x and adds the others after, unspread along x:
+    inf x. (phi + c * psi) = (inf x. phi) + c * psi when x is not in psi."""
     if isinstance(node, One):
         return (), [1], 1
     if isinstance(node, Apply):
@@ -404,25 +416,33 @@ def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _
     if m == 0:
         raise EvalError("cannot quantify over an empty domain")
     dom = {**dom, x: range(m)}
-    vs, nums, den = _table(M, node.body, dom)
-    if x in vs:
-        # x's axis has stride `inner`: reduce each block of m * inner cells
-        # to inner cells with int min/max over strided slices.
-        p = vs.index(x)
-        inner = math.prod(len(dom[v]) for v in vs[p + 1:])
-        pick, block = (min if isinstance(node, Inf) else max), m * inner
-        nums = [pick(nums[b + i:b + block:inner]) for b in range(0, len(nums), block) for i in range(inner)]
-        vs = vs[:p] + vs[p + 1:]
-    return vs, nums, den
+    bound, free = [], []
+    for c, t in _leaves(M, node.body, dom):
+        (bound if x in t[0] else free).append((c, t))
+    if not bound:
+        return _combine(free, dom)
+    vs, nums, den = _combine(bound, dom)
+    # x's axis has stride `inner`: reduce each block of m * inner cells to
+    # inner cells with int min/max over strided slices.
+    p = vs.index(x)
+    inner = math.prod(len(dom[v]) for v in vs[p + 1:])
+    pick, block = (min if isinstance(node, Inf) else max), m * inner
+    nums = [pick(nums[b + i:b + block:inner]) for b in range(0, len(nums), block) for i in range(inner)]
+    return _combine([(ONE, (vs[:p] + vs[p + 1:], nums, den))] + free, dom)
 
 
 def eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None = None) -> Fraction:
     """Exact value of phi in M under the assignment (element indices).
 
     The kernel of eval_table with each assigned variable pinned to a
-    one-element domain, so the result is a single cell.
+    one-element domain, so the result is a single cell.  An assigned index
+    outside the domain is an EvalError.
     """
-    _, nums, den = _table(M, phi, {v: (e,) for v, e in (asg or {}).items()})
+    asg = asg or {}
+    for v, e in asg.items():
+        if not isinstance(e, int) or not 0 <= e < M.size:
+            raise EvalError(f"variable {v!r} is assigned {e!r}, outside the domain of {M.size} elements")
+    _, nums, den = _table(M, phi, {v: (e,) for v, e in asg.items()})
     return Fraction(nums[0], den)
 
 

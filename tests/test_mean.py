@@ -160,6 +160,23 @@ def test_check_identity_requires_all_variables():
         check_ultramean_identity([M, M], mu, phi, {"x": (0,), "y": (1,)})
 
 
+def test_check_identity_refuses_a_mean_of_other_inputs():
+    # a mean built under (1/2, 1/2) used to be compared against a (1/3, 2/3)
+    # average and reported as a failure of the identity
+    fs = random_structure_family(random.Random(5), 2, max_size=3, product_cap=9)
+    halves, thirds = Ultracharge([F(1, 2), F(1, 2)]), Ultracharge([F(1, 3), F(2, 3)])
+    mean = build_ultramean(fs, halves)
+    phi = parse_formula("R(x)", fs[0].signature())
+    raw = {"x": (0, 0)}
+    for structures, mu in ((fs, thirds), (fs[::-1], halves), ([fs[0], fs[0]], halves)):
+        with pytest.raises(MeanError, match="built from other structures or weights"):
+            check_ultramean_identity(structures, mu, phi, raw, mean=mean)
+    # equal copies of the factors and of the weights are the same inputs
+    copies = [replace(M) for M in fs]
+    assert check_ultramean_identity(copies, Ultracharge([F(1, 2), F(1, 2)]), phi, raw, mean=mean)
+    assert check_ultramean_identity(fs, thirds, phi, raw)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_mean_identity_random(seed):
@@ -308,3 +325,18 @@ def test_ultramean_matches_fraction_reference(seed, ternary, weights):
     for name, rel in ref.relations.items():
         assert list(Q.relations[name].table.items()) == list(rel.table.items())
     assert Q == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_quotient_int_forms_are_what_a_fresh_copy_derives(seed):
+    # build_ultramean stores its int forms on the quotient; a copy built
+    # from the same Fraction tables derives them from scratch
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    family = random_structure_family(rng, k, max_size=4, product_cap=27)
+    Q = build_ultramean(family, Ultracharge(random_ultracharge_weights(rng, k))).structure
+    handed, fresh = vars(Q), replace(Q)
+    assert "int_metric" not in vars(fresh) and "int_relations" not in vars(fresh)
+    assert handed["int_metric"] == fresh.int_metric
+    assert list(handed["int_relations"].items()) == list(fresh.int_relations.items())

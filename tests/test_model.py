@@ -9,6 +9,7 @@ from typing import Mapping, Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import affinelogic.model as model
 from affinelogic.linalg import int_row
 from affinelogic.model import (
     EvalError,
@@ -807,6 +808,90 @@ def test_eval_shadowing_and_nested_binders(algebra_structure):
         for x in range(M.size):
             assert eval_formula(M, phi, {"x": x}) == _reference_eval_formula(M, phi, {"x": x}) \
                 == table[(x,)]
+
+
+@pytest.mark.parametrize("text", [
+    "inf z. (S(x, z) + -1 * R(y))",
+    "sup z. (2/3 * d(z, y) + 1 + R(x))",
+    "inf z. R(x)",
+    "inf x. (R(x) + S(x, y))",
+    "inf z. sup z. (R(z) + R(x))",
+    "-1 * inf z. (R(z) + R(y))",
+])
+def test_quantifier_over_summands_free_of_its_variable(text):
+    # inf/sup reduce only the summands that mention the bound variable; x is
+    # assigned too, so in "inf x. ..." the binder shadows a pinned variable
+    for seed in (0, 2, 4):
+        M = random_structure(random.Random(seed), max_size=3)
+        phi = parse_formula(text, M.signature())
+        table = eval_table(M, phi, ("x", "y"))
+        assert table == _reference_eval_table(M, phi, ("x", "y"))
+        for (x, y), value in table.items():
+            asg = {"x": x, "y": y}
+            assert eval_formula(M, phi, asg) == _reference_eval_formula(M, phi, asg) == value
+
+
+@st.composite
+def _quantified_sums(draw):
+    """inf/sup v over a sum of two subformulas, one of them (scaled, on
+    either side) free of v."""
+    v = draw(st.sampled_from(_VARS))
+    bound = draw(_FORMULAS)
+    free = draw(_FORMULAS.filter(lambda f: v not in free_vars(f)))
+    if draw(st.booleans()):
+        free = Scale(draw(_SCALES), free)
+    body = Sum(bound, free) if draw(st.booleans()) else Sum(free, bound)
+    return draw(st.sampled_from([Inf, Sup]))(v, body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_structures(), _quantified_sums(), st.data())
+def test_quantified_sums_match_reference(M, phi, data):
+    variables = data.draw(_table_variables(phi))
+    assert _outcome(eval_table, M, phi, variables) == \
+        _outcome(_reference_eval_table, M, phi, variables)
+    asg = {v: data.draw(st.integers(0, M.size - 1)) for v in _VARS}
+    assert eval_formula(M, phi, asg) == _reference_eval_formula(M, phi, asg)
+
+
+def test_quantifier_never_spreads_a_free_summand_along_its_axis(monkeypatch):
+    # inf z. (S(x, z) + R(y)) on 4 elements: S is 4 x 4, reduced to 4 cells
+    # along z, and only then added to R(y) over (x, y); spreading R(y) over
+    # (x, y, z) first would make a 64-cell table
+    m = 4
+    M = FiniteStructure(
+        tuple("abcd"), tuple(tuple(F(i != j) for j in range(m)) for i in range(m)), {}, {},
+        {"R": RelationInterp(1, ONE, {(i,): F(i, m) for i in range(m)}),
+         "S": RelationInterp(2, ONE, {(i, j): F((i * j) % m, m)
+                                      for i in range(m) for j in range(m)})},
+    )
+    spread, sizes = model._spread, []
+
+    def recording(*args):
+        cells = spread(*args)
+        sizes.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(model, "_spread", recording)
+    phi = parse_formula("inf z. (S(x, z) + R(y))", M.signature())
+    table = eval_table(M, phi, ("x", "y"))
+    assert sizes and max(sizes) == m * m
+    assert table == _reference_eval_table(M, phi, ("x", "y"))
+
+
+def test_eval_formula_refuses_an_assignment_outside_the_domain():
+    # the flat tables would read another cell (S(1, 0) for y = 3, S(2, 2)
+    # for y = -1), or raise IndexError or TypeError, instead
+    M = random_structure(random.Random(0), max_size=3)
+    assert M.size == 3
+    S, cond = Apply("S", (Var("x"), Var("y"))), parse_condition("S(x, y) <= 1", M.signature())
+    for name, value in (("y", 3), ("y", -1), ("x", 3), ("x", 1.0), ("y", "1")):
+        asg = {"x": 0, "y": 0, name: value}
+        message = re.escape(f"variable '{name}' is assigned {value!r}, outside the domain of 3")
+        with pytest.raises(EvalError, match=message):
+            eval_formula(M, S, asg)
+        with pytest.raises(EvalError, match=message):
+            eval_condition(M, cond, asg)
 
 
 def test_long_sum_needs_no_recursion():
