@@ -78,8 +78,8 @@ class MeanStructure:
         if len(raw) != len(self.factors):
             raise MeanError("raw tuple length must equal the factor count")
         for i, (x, f) in enumerate(zip(raw, self.factors)):
-            if not 0 <= x < f.size:
-                raise MeanError(f"coordinate {i} out of range")
+            if not isinstance(x, int) or not 0 <= x < f.size:
+                raise MeanError(f"coordinate {i} is {x!r}, outside the domain of {f.size} elements")
         return self._index[tuple(raw[i] for i in self.support)]
 
 

@@ -8,8 +8,10 @@ Formulas are evaluated by one kernel: every subformula becomes a flat
 row-major table of int numerators over one positive denominator, ranging
 over its own free variables, each with a domain.  eval_table gives every
 variable the whole domain; eval_formula pins each assigned variable to a
-one-element domain, so a point query is a one-cell table.  Validation
-compares int numerators too.
+one-element domain, so a point query is a one-cell table.  A formula
+object is compiled once, on its first evaluation, into a plan kept on
+that object; plans hold no structure and no values.  Validation compares
+int numerators too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .syntax import (
     SymbolInfo,
     Term,
     Var,
-    free_vars,
 )
 
 ZERO = Fraction(0)
@@ -298,12 +299,12 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
 # evaluation
 
 
-# A table is (vs, nums, den): the value at the i-th assignment of the sorted
+# A table is (nums, den): the value at the i-th assignment of a node's sorted
 # free variables vs is nums[i] / den, den > 0, cells in row-major order over
-# each variable's domain in `dom`.  A domain is range(m), or one element for
-# a variable that eval_formula pins; a bound variable always ranges over
-# range(m), so shadowing needs no special case.
-_Table = tuple[tuple[str, ...], list[int], int]
+# each variable's domain in `dom`.  A domain is range(m), or one element for a
+# variable that eval_formula pins; a bound variable always ranges over
+# range(m), so shadowing needs no special case.  A node's plan is (vs, run):
+# run(M, dom) is its table (for a term: its element index at every cell).
 
 
 def _spread(vs: tuple[str, ...], cells: list, to: tuple[str, ...], dom) -> list:
@@ -323,43 +324,23 @@ def _spread(vs: tuple[str, ...], cells: list, to: tuple[str, ...], dom) -> list:
     return cells
 
 
-def _join(parts, dom) -> tuple[tuple[str, ...], list[list]]:
-    """Spread (vs, cells) parts to the union of their variables."""
-    vs = tuple(sorted(set().union(*[p[0] for p in parts])))
-    return vs, [_spread(pvs, cells, vs, dom) for pvs, cells in parts]
+def _plan(phi: Formula):
+    """phi's plan, compiled on its first evaluation and kept on phi.  It holds
+    no structure and no values, so it serves every structure."""
+    plan = getattr(phi, "_plan", None)
+    if plan is None:
+        plan = _compile(phi)
+        object.__setattr__(phi, "_plan", plan)
+    return plan
 
 
-def _term(M: FiniteStructure, t: Term, dom) -> tuple[tuple[str, ...], list[int]]:
-    """Element index of t at every assignment of its variables."""
-    if isinstance(t, Var):
-        if t.name not in dom:
-            raise EvalError(f"unbound variable {t.name!r}")
-        return (t.name,), list(dom[t.name])
-    if isinstance(t, Const):
-        if t.name not in M.constants:
-            raise EvalError(f"constant {t.name!r} not interpreted")
-        return (), [M.constants[t.name]]
-    fn = M.functions.get(t.name)
-    if fn is None:
-        raise EvalError(f"function {t.name!r} not interpreted")
-    if len(t.args) != fn.arity:
-        raise EvalError(f"function {t.name!r} takes {fn.arity} arguments, got {len(t.args)}")
-    vs, cols = _join([_term(M, a, dom) for a in t.args], dom)
-    try:
-        return vs, [fn.table[args] for args in zip(*cols)]
-    except KeyError as e:
-        raise StructureError(f"function {t.name!r} has no value at {e.args[0]}") from None
-
-
-def _table(M: FiniteStructure, phi: Formula, dom: dict[str, Sequence[int]]) -> _Table:
-    """Tabulate phi."""
-    return _combine(_leaves(M, phi, dom), dom)
-
-
-def _leaves(M: FiniteStructure, phi: Formula, dom) -> list[tuple[Fraction, _Table]]:
-    """Unroll a Sum/Scale chain into (coefficient, table) leaves, left to right."""
-    leaves: list[tuple[Fraction, _Table]] = []
-    stack = [(ONE, phi)]
+def _compile(phi: Formula, x: str | None = None, pick=None):
+    """Plan of phi, or with x of inf/sup x. phi (pick is min or max).  The
+    Sum/Scale chain is unrolled into leaves with int coefficients, run left
+    to right, so the leftmost leaf's error comes first.  inf/sup x reduces
+    only the leaves that mention x and adds the others after, unspread
+    along x: inf x. (phi + c * psi) = (inf x. phi) + c * psi, x not in psi."""
+    leaves, stack = [], [(ONE, phi)]  # leaves: (index, c_num, c_den, vs, run)
     while stack:
         c, node = stack.pop()
         if isinstance(node, Sum):
@@ -367,74 +348,138 @@ def _leaves(M: FiniteStructure, phi: Formula, dom) -> list[tuple[Fraction, _Tabl
         elif isinstance(node, Scale):
             stack.append((c * node.coeff, node.body))
         else:
-            leaves.append((c, _leaf(M, node, dom)))
-    return leaves
+            leaves.append((len(leaves), c.numerator, c.denominator, *_compile_leaf(node)))
+    if x is None and len(leaves) == 1 and leaves[0][1:3] == (1, 1):
+        return leaves[0][3:]  # a lone leaf is its own plan
+    bound = [leaf[:4] for leaf in leaves if x in leaf[3]]
+    rest = [leaf[:4] for leaf in leaves if x not in leaf[3]]
+    if bound:
+        bvs, add_bound = _adder(bound)
+        p = bvs.index(x)
+        rest.insert(0, (len(leaves), 1, 1, bvs[:p] + bvs[p + 1:]))
+    vs, add_rest = _adder(rest)
+
+    def run(M, dom):
+        if x is not None:
+            if M.size == 0:
+                raise EvalError("cannot quantify over an empty domain")
+            dom = {**dom, x: range(M.size)}
+        tables = [leaf[4](M, dom) for leaf in leaves]
+        if bound:
+            # x's axis has stride `inner`: reduce each block of m * inner
+            # cells to inner cells with int min/max over strided slices.
+            nums, den = add_bound(tables, dom)
+            inner = math.prod(len(dom[v]) for v in bvs[p + 1:])
+            block = len(dom[x]) * inner
+            tables.append(([pick(nums[b + i:b + block:inner]) for b in range(0, len(nums), block)
+                            for i in range(inner)], den))
+        return add_rest(tables, dom)
+    return vs, run
 
 
-def _combine(leaves: list[tuple[Fraction, _Table]], dom) -> _Table:
-    """The affine combination of the leaves, over the union of their
-    variables and the lcm of their denominators."""
-    if len(leaves) == 1 and leaves[0][0] == 1:
-        return leaves[0][1]
-    vs = tuple(sorted(set().union(*[t[0] for _, t in leaves])))
-    den = math.lcm(*{c.denominator * t[2] for c, t in leaves})
-    out: list[int] = []
-    for c, (lvs, nums, d) in leaves:
-        f = c.numerator * (den // (c.denominator * d))
-        col = _spread(lvs, nums if f == 1 else [f * x for x in nums], vs, dom)
-        out = list(map(add, out, col)) if out else col
-    g = math.gcd(den, *out)
-    return vs, [x // g for x in out] if g > 1 else out, den // g
+def _adder(leaves):
+    """(vs, add): add(tables, dom) sums c * tables[i] over the (i, c_num,
+    c_den, vs_i) leaves, over the union vs of their variables and the lcm of
+    their denominators."""
+    if len(leaves) == 1 and leaves[0][1:3] == (1, 1):
+        i = leaves[0][0]
+        return leaves[0][3], lambda tables, dom: tables[i]
+    vs = tuple(sorted(set().union(*[leaf[3] for leaf in leaves])))
+
+    def add_(tables, dom):
+        den = math.lcm(*{cd * tables[i][1] for i, _, cd, _ in leaves})
+        out: list[int] = []
+        for i, cn, cd, lvs in leaves:
+            nums, d = tables[i]
+            f = cn * (den // (cd * d))
+            col = nums if f == 1 else [f * x for x in nums]
+            col = col if lvs == vs else _spread(lvs, col, vs, dom)
+            out = list(map(add, out, col)) if out else col
+        g = math.gcd(den, *out)
+        return [x // g for x in out] if g > 1 else out, den // g
+    return vs, add_
 
 
-def _leaf(M: FiniteStructure, node: Formula, dom: dict[str, Sequence[int]]) -> _Table:
-    """Tabulate a One, Apply, Inf or Sup node.  inf/sup x reduces only the
-    body's leaves that mention x and adds the others after, unspread along x:
-    inf x. (phi + c * psi) = (inf x. phi) + c * psi when x is not in psi."""
+def _compile_leaf(node: Formula):
+    """Plan of a One, Apply, Inf or Sup node."""
     if isinstance(node, One):
-        return (), [1], 1
-    if isinstance(node, Apply):
-        vs, cols = _join([_term(M, t, dom) for t in node.args], dom)
-        rel = None if node.symbol == METRIC else M.relations.get(node.symbol)
-        if rel is None and node.symbol != METRIC:
-            raise EvalError(f"relation {node.symbol!r} not interpreted")
-        arity = 2 if rel is None else rel.arity
-        if len(cols) != arity:
-            raise EvalError(f"{node.symbol!r} takes {arity} arguments, got {len(cols)}")
+        return (), lambda M, dom: ([1], 1)
+    if isinstance(node, (Inf, Sup)):
+        return _compile(node.body, node.var, min if isinstance(node, Inf) else max)
+    if not isinstance(node, Apply):
+        raise TypeError(f"not a formula: {node!r}")
+    symbol, n = node.symbol, len(node.args)
+    vs, cols = _joined(node.args)
+
+    def run(M, dom):
+        idx = cols(M, dom) or [[0]]
+        rel = None if symbol == METRIC else M.relations.get(symbol)
+        if rel is None and symbol != METRIC:
+            raise EvalError(f"relation {symbol!r} not interpreted")
+        if n != (2 if rel is None else rel.arity):
+            raise EvalError(f"{symbol!r} takes {2 if rel is None else rel.arity} arguments, got {n}")
         if rel is None:
             d, D = M.int_metric
-            return vs, [d[a][b] for a, b in zip(*cols)], D
-        nums, R = M.int_relations[node.symbol]
-        # _join spread every column to the same cells: fold them row-major
-        m, idx = M.size, cols[0] if cols else [0]
-        for col in cols[1:]:
-            idx = [i * m + a for i, a in zip(idx, col)]
-        return vs, [nums[i] for i in idx], R
-    if not isinstance(node, (Inf, Sup)):
-        raise TypeError(f"not a formula: {node!r}")
-    x, m = node.var, M.size
-    if m == 0:
-        raise EvalError("cannot quantify over an empty domain")
-    dom = {**dom, x: range(m)}
-    bound, free = [], []
-    for c, t in _leaves(M, node.body, dom):
-        (bound if x in t[0] else free).append((c, t))
-    if not bound:
-        return _combine(free, dom)
-    vs, nums, den = _combine(bound, dom)
-    # x's axis has stride `inner`: reduce each block of m * inner cells to
-    # inner cells with int min/max over strided slices.
-    p = vs.index(x)
-    inner = math.prod(len(dom[v]) for v in vs[p + 1:])
-    pick, block = (min if isinstance(node, Inf) else max), m * inner
-    nums = [pick(nums[b + i:b + block:inner]) for b in range(0, len(nums), block) for i in range(inner)]
-    return _combine([(ONE, (vs[:p] + vs[p + 1:], nums, den))] + free, dom)
+            return [d[a][b] for a, b in zip(*idx)], D
+        # _joined spread every column to the same cells: fold them row-major
+        (nums, R), m, flat = M.int_relations[symbol], M.size, idx[0]
+        for col in idx[1:]:
+            flat = [i * m + a for i, a in zip(flat, col)]
+        return [nums[i] for i in flat], R
+    return vs, run
+
+
+def _joined(terms: Sequence[Term]):
+    """Plan of the terms' index columns, spread to the union of their
+    variables.  Loops, not comprehensions, so that a nested function term
+    costs two frames at compile and at run time, as in the parser."""
+    parts = []
+    for t in terms:
+        parts.append(_compile_term(t))
+    vs = tuple(sorted(set().union(*[pvs for pvs, _ in parts])))
+
+    def run(M, dom):
+        cols = []
+        for _, part in parts:
+            cols.append(part(M, dom))
+        return [col if pvs == vs else _spread(pvs, col, vs, dom)
+                for (pvs, _), col in zip(parts, cols)]
+    return vs, run
+
+
+def _compile_term(t: Term):
+    name = t.name
+    if isinstance(t, Var):
+        def var(M, dom):
+            if name not in dom:
+                raise EvalError(f"unbound variable {name!r}")
+            return list(dom[name])
+        return (name,), var
+    if isinstance(t, Const):
+        def const(M, dom):
+            if name not in M.constants:
+                raise EvalError(f"constant {name!r} not interpreted")
+            return [M.constants[name]]
+        return (), const
+    n, (vs, cols) = len(t.args), _joined(t.args)
+
+    def apply(M, dom):
+        fn = M.functions.get(name)
+        if fn is None:
+            raise EvalError(f"function {name!r} not interpreted")
+        if n != fn.arity:
+            raise EvalError(f"function {name!r} takes {fn.arity} arguments, got {n}")
+        try:
+            return [fn.table[a] for a in zip(*cols(M, dom))]
+        except KeyError as e:
+            raise StructureError(f"function {name!r} has no value at {e.args[0]}") from None
+    return vs, apply
 
 
 def eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None = None) -> Fraction:
     """Exact value of phi in M under the assignment (element indices).
 
-    The kernel of eval_table with each assigned variable pinned to a
+    The plan of eval_table with each assigned variable pinned to a
     one-element domain, so the result is a single cell.  An assigned index
     outside the domain is an EvalError.
     """
@@ -442,7 +487,7 @@ def eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None
     for v, e in asg.items():
         if not isinstance(e, int) or not 0 <= e < M.size:
             raise EvalError(f"variable {v!r} is assigned {e!r}, outside the domain of {M.size} elements")
-    _, nums, den = _table(M, phi, {v: (e,) for v, e in asg.items()})
+    nums, den = _plan(phi)[1](M, {v: (e,) for v, e in asg.items()})
     return Fraction(nums[0], den)
 
 
@@ -450,16 +495,17 @@ def eval_table(
     M: FiniteStructure, phi: Formula, variables: Sequence[str]
 ) -> dict[tuple[int, ...], Fraction]:
     """Evaluate phi at every assignment of `variables`, bottom-up: one table
-    pass per subformula (see _table), one Fraction per distinct value,
+    pass per subformula (see _plan), one Fraction per distinct value,
     keyed in itertools.product order.  A name repeated in `variables` reads
     its first occurrence.
     """
     variables = tuple(variables)
-    missing = free_vars(phi) - set(variables)
+    vs, run = _plan(phi)
+    missing = set(vs) - set(variables)
     if missing:
         raise EvalError(f"free variables not covered: {sorted(missing)}")
     m = M.size
-    vs, nums, den = _table(M, phi, {v: range(m) for v in variables})
+    nums, den = run(M, {v: range(m) for v in variables})
     cells = fractions_over(nums, den)
     stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
     idx = [0]

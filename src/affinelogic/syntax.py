@@ -73,13 +73,22 @@ class Func:
 Term = Union[Var, Const, Func]
 
 
+class _Node:
+    """Base of the formula nodes.  The evaluator keeps a node's compiled plan
+    in its __dict__ (model._plan); pickling and copying leave it out, so a
+    copy compiles its own."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
+
 @dataclass(frozen=True)
-class One:
+class One(_Node):
     """The constant formula with value 1."""
 
 
 @dataclass(frozen=True)
-class Apply:
+class Apply(_Node):
     """Application of a relation symbol (or the metric 'd') to terms."""
 
     symbol: str
@@ -90,7 +99,7 @@ class Apply:
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_Node):
     coeff: Fraction
     body: "Formula"
 
@@ -99,19 +108,19 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Inf:
+class Inf(_Node):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Sup:
+class Sup(_Node):
     var: str
     body: "Formula"
 

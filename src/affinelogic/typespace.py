@@ -511,16 +511,16 @@ def affine_satisfiable_tables(
         raise TypespaceError("need at least one tuple")
     na = len(tuples)
     nc = len(gaps)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rows.append([ONE] * na + [ZERO] * nc)
-    rhs.append(ONE)
+    # the int rows solve_standard would derive: convexity over 1, then each
+    # gap row over the lcm den of its values, with -den in its slack column
+    inputs, dens = [[1] * na + [0] * nc + [1]], [1]
     for i, g in enumerate(gaps):
-        row = [g[a] for a in tuples] + [ZERO] * nc
-        row[na + i] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    res = solve_standard(rows, rhs, [ZERO] * (na + nc))
+        nums, den = linalg.int_row([g[a] for a in tuples])
+        row = nums + [0] * (nc + 1)
+        row[na + i] = -den
+        inputs.append(row)
+        dens.append(den)
+    res = solve_int(inputs, dens, [0] * (na + nc), 1)
     if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
         witness = {a: w for a, w in zip(tuples, res.x[:na]) if w != 0}
         return SatisfiabilityResult(True, witness=witness)

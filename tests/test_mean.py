@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import affinelogic.mean as mean_module
 from affinelogic.mean import (
     CapExceededError,
     MeanError,
@@ -140,6 +142,27 @@ def test_class_index_range_checks():
         mean.class_index((0,))
     with pytest.raises(MeanError):
         mean.class_index((0, 5))
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_class_index_refuses_a_coordinate_that_is_not_an_int(monkeypatch, bad):
+    # 1.0 == 1, so the class dict would answer with the class of (1, 0), and
+    # the identity would evaluate the quotient side before the factor side
+    # refused the assignment
+    factors = random_structure_family(random.Random(1), 2, max_size=3, product_cap=9)
+    mu = Ultracharge([F(1, 2), F(1, 2)])
+    mean = build_ultramean(factors, mu)
+    message = re.escape(f"coordinate 0 is {bad!r}")
+    with pytest.raises(MeanError, match=message):
+        mean.class_index((bad, 0))
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the coordinates were checked")
+
+    monkeypatch.setattr(mean_module, "eval_formula", no_evaluation)
+    phi = parse_formula("d(x, x)", factors[0].signature())
+    with pytest.raises(MeanError, match=message):
+        check_ultramean_identity(factors, mu, phi, {"x": (bad, 0)}, mean=mean)
 
 
 def test_check_identity_simple_formula():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -25,7 +27,7 @@ from affinelogic.model import (
     validate_structure,
 )
 from affinelogic.pra import build_algebra
-from affinelogic.sampling import random_formula, random_metric, random_structure
+from affinelogic.sampling import random_formula, random_metric, random_structure, random_structure_family
 from affinelogic.syntax import (
     METRIC,
     Apply,
@@ -34,6 +36,7 @@ from affinelogic.syntax import (
     Func,
     Inf,
     One,
+    ParseError,
     Scale,
     Sum,
     Sup,
@@ -1042,3 +1045,87 @@ def test_nullary_relation_is_one_cell():
                         {"Z": RelationInterp(0, ONE, {(): F(1, 2)})})
     assert eval_formula(M, Apply("Z", ())) == F(1, 2)
     assert eval_table(M, Apply("Z", ()), ("x",)) == {(0,): F(1, 2), (1,): F(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the plan a formula object compiles on its first evaluation
+
+_PLAN_TEXTS = ("1", "R(x)", "inf z. (d(x, z) + -1 * R(y)) + 1/2 * R(x)", "sup y. 2 * d(x, y) - 1")
+
+
+def test_an_evaluated_node_keeps_equality_hash_repr_and_copies():
+    M = random_structure(random.Random(3), max_size=3)
+    for text in _PLAN_TEXTS:
+        phi, twin = parse_formula(text, M.signature()), parse_formula(text, M.signature())
+        before = hash(phi), repr(phi)
+        table = eval_table(M, phi, ("x", "y"))
+        assert eval_formula(M, phi, {"x": 0, "y": 0}) == table[(0, 0)]
+        assert phi == twin and (hash(phi), repr(phi)) == before
+        for other in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+            assert other == phi and (hash(other), repr(other)) == before
+            assert eval_table(M, other, ("x", "y")) == table
+
+
+def test_a_node_compiles_once_and_an_equal_node_compiles_its_own(monkeypatch):
+    # the plan lives on the node object: not keyed by equality, text or
+    # structure, and one plan serves every structure
+    compile_, compiled = model._compile, []
+
+    def counting(phi, *binder):
+        if not binder:  # the entry point; a quantifier body passes its binder
+            compiled.append(phi)
+        return compile_(phi, *binder)
+
+    monkeypatch.setattr(model, "_compile", counting)
+    factors = random_structure_family(random.Random(1), 3, max_size=3, product_cap=27)
+    for text in _PLAN_TEXTS:
+        phi, twin = parse_formula(text, factors[0].signature()), parse_formula(text, factors[0].signature())
+        for M in factors:
+            for _ in range(3):
+                eval_table(M, phi, ("x", "y"))
+                eval_formula(M, phi, {"x": 1, "y": 0})
+        assert [node is phi for node in compiled] == [True]
+        assert eval_formula(factors[0], twin, {"x": 1, "y": 0}) == eval_formula(factors[0], phi, {"x": 1, "y": 0})
+        assert [node is twin for node in compiled] == [False, True]
+        compiled.clear()
+
+
+def _deepest(make, sig) -> int:
+    """The largest n with make(n) parsing; make(n + 1) is a ParseError."""
+    def parses(n):
+        try:
+            parse_formula(make(n), sig)
+        except ParseError:
+            return False
+        return True
+
+    lo, hi = 1, 2
+    while parses(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("make, value", [
+    # nested binders, the innermost of which does not mention its variable
+    (lambda n: "".join(f"inf y{i}. " for i in range(n)) + "d(x, y0)", lambda n, x: ZERO),
+    # nested function terms: f swaps the two elements
+    (lambda n: "R(" + "f(" * n + "x" + ")" * (n + 1), lambda n, x: F((x + n) % 2)),
+    (lambda n: "1/2 * (" * n + "R(x)" + ")" * n, lambda n, x: F(x, 2 ** n)),
+    # min over y0 of d(x, y0) + R(y0) is x, halved at every level
+    (lambda n: "".join(f"inf y{i}. 1/2 * (" for i in range(n)) + "d(x, y0) + R(y0)" + ")" * n,
+     lambda n, x: F(x, 2 ** n)),
+])
+def test_the_deepest_parsed_formulas_evaluate(make, value):
+    M = FiniteStructure(
+        ("a", "b"), ((ZERO, ONE), (ONE, ZERO)), {},
+        {"f": FunctionInterp(1, ONE, {(0,): 1, (1,): 0})},
+        {"R": RelationInterp(1, ONE, {(0,): ZERO, (1,): ONE})},
+    )
+    n = _deepest(make, M.signature())
+    phi = parse_formula(make(n), M.signature())
+    table = eval_table(M, phi, ("x",))
+    for x in range(2):
+        assert table[(x,)] == eval_formula(M, phi, {"x": x}) == value(n, x)
