@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
-from .model import FiniteStructure, automorphisms, eval_table, neighbour_pairs
+from .model import FiniteStructure, automorphisms, eval_table, first_violating_pair
 from .typespace import FormulaFamily, TypeVector, factor_table_through_family, family_tables
 
 ZERO = Fraction(0)
@@ -199,31 +199,31 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
     P and the metric are scaled once to int numerators over one common
     denominator L, and every comparison below is on those ints.
     Nonexpansiveness is checked on neighbour pairs only, which is exact in
-    the sum metric (see `neighbour_pairs`); its witness (a, b) has
-    P(a) - P(b) > d(a, b).  Approachability at a is decided in closed form
-    by `_approach_refutation`, with no LP.
+    the sum metric (see `neighbour_pairs`); its witness (a, b) is the first
+    violating neighbour pair, ordered so that P(a) - P(b) > d(a, b).
+
+    Approachability at a is decided point by point, in closed form by
+    `_approach_refutation`, with no LP; the first failing point is the
+    witness, with its Farkas pair.
     """
     validate_predicate(M, P)
     tuples = _tuples(M, P.arity)
     d, D = M.int_metric
-    nums, den = linalg.int_row([P.values[a] for a in tuples])
+    nums, den = linalg.int_row(list(map(P.values.__getitem__, tuples)))
     L = math.lcm(den, D)
-    p = [v * (L // den) for v in nums]
-    d = [[v * (L // D) for v in row] for row in d]
+    p = nums if L == den else list(map((L // den).__mul__, nums))
+    if L != D:
+        d = [list(map((L // D).__mul__, row)) for row in d]
 
     nonneg = AxiomCheck(True)
-    for a, v in zip(tuples, p):
-        if v < 0:
-            nonneg = AxiomCheck(False, (a,))
-            break
+    if min(p) < 0:
+        nonneg = AxiomCheck(False, (next(a for a, v in zip(tuples, p) if v < 0),))
 
     nonexp = AxiomCheck(True)
-    pv = dict(zip(tuples, p))
-    for a, b, x, y in neighbour_pairs(M.size, P.arity):
-        diff = pv[a] - pv[b]
-        if abs(diff) > d[x][y]:
-            nonexp = AxiomCheck(False, (a, b) if diff > 0 else (b, a))
-            break
+    hit = first_violating_pair(p, M.size, P.arity, list(itertools.chain.from_iterable(d)))
+    if hit is not None:
+        a, b = hit
+        nonexp = AxiomCheck(False, hit if P.values[a] > P.values[b] else (b, a))
 
     approach = AxiomCheck(True)
     for a, pa in zip(tuples, p):
@@ -439,15 +439,19 @@ def inf_over_definable(
     d, D = M.int_metric
     nums, den = linalg.int_row(list(P.values.values()))
     pv = dict(zip(P.values, nums))
-    # |P(x, y1) - P(x, y2)| > lam * d(u, v), times den * lam.denominator * D
+    # |P(x, y1) - P(x, y2)| > lam * d(u, v), times den * lam.denominator * D,
+    # scanned over the row-major block of each x
     lhs, rhs = lam.denominator * D, lam.numerator * den
-    pairs = list(neighbour_pairs(M.size, n))
-    for x in xs:
-        for y1, y2, u, v in pairs:
-            if lhs * abs(pv[x + y1] - pv[x + y2]) > rhs * d[u][v]:
-                raise DefinabilityError(
-                    f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
-                )
+    cells = list(map(lhs.__mul__, map(pv.__getitem__, _tuples(M, P.arity))))
+    bound = list(map(rhs.__mul__, itertools.chain.from_iterable(d)))
+    block = len(ys)
+    for i, x in enumerate(xs):
+        hit = first_violating_pair(cells[i * block:(i + 1) * block], M.size, n, bound)
+        if hit is not None:
+            y1, y2 = hit
+            raise DefinabilityError(
+                f"P is not {lam}-Lipschitz in the trailing block at {x}, {y1}, {y2}"
+            )
     # P(x, z) + lam * dist(z, D), times the same positive factor
     penalty = [rhs * v for v in _set_distances(d, tuples_D)]
     qn = {x: min([pv[x + b] for b in tuples_D]) for x in xs}

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 from .errors import AffineLogicError
 from .linalg import fractions_over, int_row
-from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula
-from .syntax import Formula, free_vars
+from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula, sorted_free_vars
+from .syntax import Formula
 
 ZERO = Fraction(0)
 
@@ -240,10 +240,9 @@ def check_ultramean_identity(
     elif mean.mu != mu or len(mean.factors) != len(structures) or any(
             a is not b and a != b for a, b in zip(mean.factors, structures)):
         raise MeanError("the mean was built from other structures or weights")
-    fv = free_vars(phi)
-    missing = fv - set(raw_tuples)
+    missing = [v for v in sorted_free_vars(phi) if v not in raw_tuples]
     if missing:
-        raise MeanError(f"raw tuples missing for variables {sorted(missing)}")
+        raise MeanError(f"raw tuples missing for variables {missing}")
     for var, raw in raw_tuples.items():
         if len(raw) != len(structures):
             raise MeanError(f"raw tuple for {var!r} must list one element per factor")

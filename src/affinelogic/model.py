@@ -20,8 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import add, sub
+from functools import cached_property, lru_cache
+from numbers import Rational
+from operator import add, gt, itemgetter, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import AffineLogicError
@@ -125,7 +126,7 @@ class FiniteStructure:
         m x m.
         """
         m = self.size
-        flat, D = int_row([x for row in self.metric for x in row])
+        flat, D = int_row(_exact([x for row in self.metric for x in row], f"metric {METRIC!r}"))
         return tuple(tuple(flat[i:i + m]) for i in range(0, m * m, m)), D
 
     @cached_property
@@ -140,7 +141,7 @@ class FiniteStructure:
                 values = [rel.table[a] for a in itertools.product(range(m), repeat=rel.arity)]
             except KeyError as e:
                 raise StructureError(f"relation {name!r} has no value at {e.args[0]}") from None
-            nums, R = int_row(values)
+            nums, R = int_row(_exact(values, f"relation {name!r}"))
             out[name] = tuple(nums), R
         return out
 
@@ -151,6 +152,16 @@ class FiniteStructure:
             *(rel.table.values() for rel in self.relations.values()),
         )
         return all(v.denominator == 1 and 0 <= v.numerator <= 1 for v in values)
+
+
+def _exact(values: list, what: str) -> list:
+    """values, refused with a StructureError naming `what` unless each one is
+    an exact rational (an int or a Fraction): a float would be read as its
+    binary value.  One type test per distinct type, so C-speed per value."""
+    if not all(issubclass(t, Rational) for t in set(map(type, values))):
+        bad = next(v for v in values if not isinstance(v, Rational))
+        raise StructureError(f"{what} has a value that is not an exact rational: {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -178,13 +189,15 @@ def neighbour_pairs(
     m: int, arity: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
     """Every (a, b, x, y) with a, b in range(m)^arity differing in exactly
-    one coordinate i, where a[i] = x < y = b[i].
+    one coordinate i, where a[i] = x < y = b[i]: for each coordinate i, each
+    line along i (the other coordinates in product order), then each x < y.
 
     In the sum metric d(a, b) = d(x, y) for such a pair (the other
     coordinates contribute d(z, z) = 0), and any two tuples are joined by a
     path of neighbour steps whose distances add up to exactly d(a, b).  So a
     real-valued table is lam-Lipschitz iff it is on these k * m^(k-1) *
-    m(m-1)/2 pairs, instead of all m^(2k) pairs.
+    m(m-1)/2 pairs, instead of all m^(2k) pairs.  This order defines the
+    witness of every neighbour scan; `first_violating_pair` scans in it.
     """
     for i in range(arity):
         for rest in itertools.product(range(m), repeat=arity - 1):
@@ -196,8 +209,81 @@ def neighbour_pairs(
                     yield a, line[y], x, y
 
 
+@lru_cache(maxsize=64)
+def _pair_index(m: int):
+    """The x < y pairs of range(m), m >= 2, x-major: their xs, their ys and
+    x * m + y, and two getters that read a line's cells at the xs and at the
+    ys as tuples, each in one C call.  It holds no structure data and is
+    O(m^2), the size of a metric."""
+    xs: list[int] = []
+    ys: list[int] = []
+    for x in range(m):
+        xs += [x] * (m - 1 - x)
+        ys += range(x + 1, m)
+    return xs, ys, [x * m + y for x, y in zip(xs, ys)], _getter(xs), _getter(ys)
+
+
+def _getter(index: list[int]):
+    """itemgetter(*index), but returning a tuple also for one index."""
+    if len(index) == 1:
+        i = index[0]
+        return lambda line: (line[i],)
+    return itemgetter(*index)
+
+
+def _tuple_at(i: int, m: int, arity: int) -> tuple[int, ...]:
+    """The tuple at row-major index i of range(m)^arity."""
+    return tuple(i // m ** (arity - 1 - c) % m for c in range(arity))
+
+
+def first_violating_pair(
+    table: Sequence[int], m: int, arity: int, bound: Sequence[int],
+    dist: Sequence[int] | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first neighbour pair (a, b), in `neighbour_pairs` order, whose gap
+    exceeds its bound, or None.
+
+    table holds int cells, row-major over range(m)^arity.  For a pair with
+    a[i] = x < y = b[i] the bound is bound[x * m + y] (bound is flat m x m).
+    The gap is |table[a] - table[b]| for value cells, or, given a flat m x m
+    dist, dist[table[a] * m + table[b]] for element cells.  Each line of each
+    coordinate is one strided slice of table, compared with every x < y
+    pair at C speed through map, so no bytecode runs per pair.
+    """
+    if m < 2:
+        return None
+    xs, ys, xy, at_xs, at_ys = _pair_index(m)
+    limits = list(map(bound.__getitem__, xy))
+    if dist is None:
+        left = table
+
+        def gaps(a, b):
+            return map(abs, map(sub, a, b))
+    else:
+        left = list(map(m.__mul__, table))  # table[a] * m
+
+        def gaps(a, b):
+            return map(dist.__getitem__, map(add, a, b))
+    for i in range(arity):
+        stride = m ** (arity - 1 - i)
+        span = m * stride
+        for head in range(0, len(table), span):
+            for start in range(head, head + stride):
+                a = at_xs(left[start:start + span:stride])
+                b = at_ys(table[start:start + span:stride])
+                if any(map(gt, gaps(a, b), limits)):
+                    k = next(itertools.compress(itertools.count(), map(gt, gaps(a, b), limits)))
+                    return (_tuple_at(start + xs[k] * stride, m, arity),
+                            _tuple_at(start + ys[k] * stride, m, arity))
+    return None
+
+
 def validate_structure(M: FiniteStructure) -> ValidationReport:
     """Check shape, metric axioms, value ranges, and declared Lipschitz bounds.
+
+    Shape covers table sizes and keys, element indices (ints in range(m))
+    and exact values: a metric or relation value that is not an int or a
+    Fraction is refused where the int forms are built, and reported here.
 
     The Lipschitz bounds are checked on neighbour pairs only (tuples that
     differ in one coordinate, see `neighbour_pairs`), which is exact: in the
@@ -205,12 +291,16 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
     distances adding up to d(a, b), so a table is lam-Lipschitz on all pairs
     iff it is on neighbour pairs.  For functions the chain also needs the
     triangle inequality on outputs, which is checked first.  A Lipschitz
-    witness is therefore a violating neighbour pair, not necessarily the
-    first violating pair in lexicographic order.
+    witness is therefore the first violating neighbour pair in
+    `neighbour_pairs` order, not necessarily the first violating pair in
+    lexicographic order; `first_violating_pair` finds it at C speed.
 
     All comparisons are on int numerators (the metric over its common
     denominator, each relation over its own), with the same witnesses as
-    the Fraction comparisons they stand for.
+    the Fraction comparisons they stand for.  The metric axioms are checked
+    a row at a time, and the triangle inequality, once symmetry holds, over
+    i < j as max_k |d(i, k) - d(j, k)| <= d(i, j); a failing row or pair is
+    then searched entry by entry for the witness.
     """
     m = M.size
     if m == 0:
@@ -218,80 +308,93 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
     if len(M.metric) != m or any(len(row) != m for row in M.metric):
         return _fail("shape", "metric table must be m x m")
     for name, idx in M.constants.items():
+        if not isinstance(idx, int):
+            return _fail("shape", f"constant {name!r} is not an element index", (idx,))
         if not 0 <= idx < m:
             return _fail("shape", f"constant {name!r} maps outside the domain", (idx,))
+    # A table of m^k keys that holds every tuple of range(m)^k has exactly
+    # those keys: reading them all, row-major, is the cover check.
+    outputs = {}
     for name, fn in M.functions.items():
         expected = m ** fn.arity
-        if len(fn.table) != expected or \
-                set(fn.table) != set(itertools.product(range(m), repeat=fn.arity)):
+        try:
+            outs = list(map(fn.table.__getitem__, itertools.product(range(m), repeat=fn.arity)))
+        except KeyError:
+            outs = None
+        if outs is None or len(fn.table) != expected:
             return _fail("shape", f"function {name!r} table must cover all {expected} tuples")
         if fn.lam < 0:
             return _fail("shape", f"function {name!r} has negative Lipschitz constant")
-        for args, out in fn.table.items():
-            if not 0 <= out < m:
-                return _fail("shape", f"function {name!r} maps outside the domain", args)
+        if not all(issubclass(t, int) for t in set(map(type, outs))):
+            args = next(a for a, out in fn.table.items() if not isinstance(out, int))
+            return _fail("shape", f"function {name!r} maps to a value that is not an element index", args)
+        if min(outs) < 0 or max(outs) >= m:
+            args = next(a for a, out in fn.table.items() if not 0 <= out < m)
+            return _fail("shape", f"function {name!r} maps outside the domain", args)
+        outputs[name] = outs
     for name, rel in M.relations.items():
         expected = m ** rel.arity
-        if len(rel.table) != expected or \
-                set(rel.table) != set(itertools.product(range(m), repeat=rel.arity)):
+        if len(rel.table) != expected or not all(
+                map(rel.table.__contains__, itertools.product(range(m), repeat=rel.arity))):
             return _fail("shape", f"relation {name!r} table must cover all {expected} tuples")
         if rel.lam < 0:
             return _fail("shape", f"relation {name!r} has negative Lipschitz constant")
+    try:
+        d, D = M.int_metric
+        int_relations = M.int_relations
+    except StructureError as e:
+        return _fail("shape", str(e))
 
-    # The axioms and Lipschitz scans compare int numerators: the metric's
-    # over its common denominator D, each relation's over its own.
-    d, D = M.int_metric
-    for i in range(m):
-        for j in range(m):
-            dij = d[i][j]
-            if dij < 0 or dij > D:
-                return _fail("metric range", "distances must lie in [0, 1]", (i, j))
-            if d[j][i] != dij:
-                return _fail("symmetry", "metric must be symmetric", (i, j))
-        if d[i][i] != 0:
+    cols = list(zip(*d))
+    for i, row in enumerate(d):
+        if min(row) < 0 or max(row) > D or row != cols[i]:
+            for j, dij in enumerate(row):
+                if dij < 0 or dij > D:
+                    return _fail("metric range", "distances must lie in [0, 1]", (i, j))
+                if d[j][i] != dij:
+                    return _fail("symmetry", "metric must be symmetric", (i, j))
+        if row[i] != 0:
             return _fail("reflexivity", "d(a, a) must be 0", (i,))
-    for i in range(m):
-        for j in range(m):
-            if i != j and d[i][j] == 0:
-                return _fail(
-                    "identity of indiscernibles",
-                    "distinct elements at distance 0", (i, j),
-                )
-    for i, di in enumerate(d):
-        for j, dj in enumerate(d):
-            # some k has d(i, k) - d(j, k) > d(i, j): report the first one
-            if max(map(sub, di, dj)) > di[j]:
-                k = next(k for k in range(m) if di[k] > di[j] + dj[k])
-                return _fail("triangle inequality", "d(a,c) > d(a,b) + d(b,c)", (i, j, k))
+    for i, row in enumerate(d):
+        if row.count(0) > 1:  # row[i] is one zero
+            j = next(j for j, dij in enumerate(row) if dij == 0 and j != i)
+            return _fail("identity of indiscernibles", "distinct elements at distance 0", (i, j))
+    # d is symmetric, so d(i, k) > d(i, j) + d(j, k) or the same with i and
+    # j swapped iff |d(i, k) - d(j, k)| > d(i, j): one test per i < j.
+    if any(max(map(abs, map(sub, d[i], d[j]))) > d[i][j]
+           for i in range(m) for j in range(i + 1, m)):
+        for i, di in enumerate(d):
+            for j, dj in enumerate(d):
+                # some k has d(i, k) - d(j, k) > d(i, j): report the first one
+                if max(map(sub, di, dj)) > di[j]:
+                    k = next(k for k in range(m) if di[k] > di[j] + dj[k])
+                    return _fail("triangle inequality", "d(a,c) > d(a,b) + d(b,c)", (i, j, k))
 
-    scaled = {}
     for name, rel in M.relations.items():
-        nums, R = M.int_relations[name]
-        table = dict(zip(itertools.product(range(m), repeat=rel.arity), nums))
+        nums, R = int_relations[name]
         if min(nums) < 0 or max(nums) > R:
-            args = next(a for a in rel.table if not 0 <= table[a] <= R)
+            args = next(a for a, v in rel.table.items() if not 0 <= v <= 1)
             return _fail("relation range", f"relation {name!r} leaves [0, 1]", args)
-        scaled[name] = R, table
+    flat = list(itertools.chain.from_iterable(d))
     # Exact by the triangle inequality checked above: the outputs along a
     # coordinate path are at most the sum of their step distances apart.
     for name, fn in M.functions.items():
-        p, q, t = fn.lam.numerator, fn.lam.denominator, fn.table
-        for a, b, x, y in neighbour_pairs(m, fn.arity):
-            if q * d[t[a]][t[b]] > p * d[x][y]:
-                return _fail(
-                    "function Lipschitz",
-                    f"function {name!r} violates its declared constant", (a, b),
-                )
+        # q * d(t(a), t(b)) > p * d(x, y), with lam = p / q
+        p, q = fn.lam.numerator, fn.lam.denominator
+        hit = first_violating_pair(outputs[name], m, fn.arity, list(map(p.__mul__, flat)),
+                                   list(map(q.__mul__, flat)))
+        if hit is not None:
+            return _fail("function Lipschitz",
+                         f"function {name!r} violates its declared constant", hit)
     for name, rel in M.relations.items():
-        R, t = scaled[name]
+        nums, R = int_relations[name]
         # |t(a) - t(b)| / R > lam * d(x, y) / D, cross-multiplied
         lhs, rhs = rel.lam.denominator * D, rel.lam.numerator * R
-        for a, b, x, y in neighbour_pairs(m, rel.arity):
-            if lhs * abs(t[a] - t[b]) > rhs * d[x][y]:
-                return _fail(
-                    "relation Lipschitz",
-                    f"relation {name!r} violates its declared constant", (a, b),
-                )
+        hit = first_violating_pair(list(map(lhs.__mul__, nums)), m, rel.arity,
+                                   list(map(rhs.__mul__, flat)))
+        if hit is not None:
+            return _fail("relation Lipschitz",
+                         f"relation {name!r} violates its declared constant", hit)
     return ValidationReport(True)
 
 
@@ -489,6 +592,13 @@ def eval_formula(M: FiniteStructure, phi: Formula, asg: Mapping[str, int] | None
             raise EvalError(f"variable {v!r} is assigned {e!r}, outside the domain of {M.size} elements")
     nums, den = _plan(phi)[1](M, {v: (e,) for v, e in asg.items()})
     return Fraction(nums[0], den)
+
+
+def sorted_free_vars(phi: Formula) -> tuple[str, ...]:
+    """phi's free variables, sorted: the ones its plan is tabulated over.
+    Read from the plan, so a formula that is also evaluated is walked once.
+    A node that is not a formula is a TypeError."""
+    return _plan(phi)[0]
 
 
 def eval_table(

@@ -376,11 +376,13 @@ def test_distance_predicate_matches_fraction_reference(case):
 
 @st.composite
 def _predicate_cases(draw):
-    """Arity 0-2 predicates: distance tables shifted by a drawn value, or
-    tables of drawn values, with entries overwritten by drawn values or by
-    ties g(y) = f(y), that is P(y) = d(a, y) - P(a), at some point a."""
+    """Arity 0-2 predicates (0-3 on up to 3 points): distance tables shifted
+    by a drawn value, or tables of drawn values, with entries overwritten by
+    drawn values or by ties g(y) = f(y), that is P(y) = d(a, y) - P(a), at
+    some point a.  The drawn values may be negative, so approachability is
+    compared with the reference on tables of either sign."""
     M = _any_metric_space(draw)
-    n = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 3 if M.size <= 3 else 2))
     tuples = list(itertools.product(range(M.size), repeat=n))
     if draw(st.booleans()):
         D = draw(st.sets(st.sampled_from(tuples), min_size=1))
@@ -398,8 +400,14 @@ def _predicate_cases(draw):
     return M, PredicateTable(n, values)
 
 
+_LINE = FiniteStructure(("a", "b"), ((ZERO, ONE), (ONE, ZERO)), {}, {}, {})
+
+
 @settings(max_examples=400, deadline=None)
 @given(_predicate_cases())
+@example((_LINE, PredicateTable(1, {(0,): F(1, 4), (1,): F(3, 4)})))  # P >= 0, no zero
+@example((_LINE, PredicateTable(1, {(0,): ZERO, (1,): F(1, 2)})))  # P >= 0, fails at b
+@example((_LINE, PredicateTable(1, {(0,): F(-1, 4), (1,): F(1, 2)})))  # a negative value
 def test_distance_axioms_match_fraction_reference(case):
     M, P = case
     new = _outcome(check_distance_axioms, M, P)

@@ -177,10 +177,13 @@ def test_check_identity_requires_all_variables():
     M = two_point()
     mu = Ultracharge([F(1, 2), F(1, 2)])
     phi = parse_formula("R(x) + R(y)", M.signature())
-    with pytest.raises(MeanError):
+    with pytest.raises(MeanError, match=re.escape("raw tuples missing for variables ['y']")):
         check_ultramean_identity([M, M], mu, phi, {"x": (0, 0)})
     with pytest.raises(MeanError):
         check_ultramean_identity([M, M], mu, phi, {"x": (0,), "y": (1,)})
+    # the free variables come from phi's plan, which refuses a non-formula
+    with pytest.raises(TypeError, match="not a formula: 'R'"):
+        check_ultramean_identity([M, M], mu, "R", {"x": (0, 0)})
 
 
 def test_check_identity_refuses_a_mean_of_other_inputs():

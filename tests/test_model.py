@@ -232,23 +232,43 @@ def _all_pairs_lipschitz(M):
     return True, None, None
 
 
+# Reference for the order of the Lipschitz witnesses: the scalar
+# neighbour-pair loops that validate_structure ran before its scans went
+# through first_violating_pair, in Fraction arithmetic.
+def _scalar_neighbour_scan(M):
+    m, d = M.size, M.metric
+    for fn in M.functions.values():
+        t = fn.table
+        for a, b, x, y in neighbour_pairs(m, fn.arity):
+            if d[t[a]][t[b]] > fn.lam * d[x][y]:
+                return "function Lipschitz", (a, b)
+    for rel in M.relations.values():
+        t = rel.table
+        for a, b, x, y in neighbour_pairs(m, rel.arity):
+            if abs(t[a] - t[b]) > rel.lam * d[x][y]:
+                return "relation Lipschitz", (a, b)
+    return None, None
+
+
 _LAMS = [ZERO, F(1, 4), F(1, 2), ONE, F(2)]
 _UNIT = st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 6), st.integers(1, 6))
 
 
 @st.composite
 def _perturbed_structures(draw):
-    """Valid metric; one relation and one function of arity 1-2, each either
-    Lipschitz for its declared constant or perturbed away from it."""
-    m = draw(st.integers(2, 4))
+    """Valid metric on 1-6 points; one relation and one function of arity
+    1-3 (3 only up to 3 points), each either Lipschitz for its declared
+    constant or perturbed away from it."""
+    m = draw(st.integers(1, 6))
     metric = random_metric(draw(st.randoms(use_true_random=False)), m)
+    arities = st.integers(1, 3 if m <= 3 else 2)
 
     def dist(a, b):
         return sum((metric[x][y] for x, y in zip(a, b)), start=ZERO)
 
     relations, functions = {}, {}
     if draw(st.booleans()):
-        tuples = list(itertools.product(range(m), repeat=draw(st.integers(1, 2))))
+        tuples = list(itertools.product(range(m), repeat=draw(arities)))
         lam = draw(st.sampled_from(_LAMS))
         values = {a: draw(_UNIT) for a in tuples}
         if draw(st.booleans()):  # inf-convolution: lam-Lipschitz, still in [0, 1]
@@ -259,7 +279,7 @@ def _perturbed_structures(draw):
             lam = draw(st.sampled_from(_LAMS))
         relations["R"] = RelationInterp(len(tuples[0]), lam, values)
     if draw(st.booleans()):
-        tuples = list(itertools.product(range(m), repeat=draw(st.integers(1, 2))))
+        tuples = list(itertools.product(range(m), repeat=draw(arities)))
         table = {a: draw(st.integers(0, m - 1)) for a in tuples}
         tight = max(
             (metric[table[a]][table[b]] / dist(a, b) for a in tuples for b in tuples if a != b),
@@ -282,14 +302,34 @@ def test_validate_matches_all_pairs_reference(M):
     ok, kind, _ = _all_pairs_lipschitz(M)
     rep = validate_structure(M)
     assert (rep.ok, rep.kind) == (ok, kind)
-    if kind == "function Lipschitz":
-        fn = M.functions["f"]
-        a, b = rep.witness
-        assert M.metric[fn.table[a]][fn.table[b]] > fn.lam * M.tuple_distance(a, b)
-    if kind == "relation Lipschitz":
-        rel = M.relations["R"]
-        a, b = rep.witness
-        assert abs(rel.table[a] - rel.table[b]) > rel.lam * M.tuple_distance(a, b)
+    if kind in ("function Lipschitz", "relation Lipschitz"):
+        assert (rep.kind, rep.witness) == _scalar_neighbour_scan(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_first_violating_pair_matches_scalar_scan(data):
+    # value cells (signed ints) and element cells (indices into a flat
+    # m x m dist); bounds from 0 up, so scans with and without a violation
+    m, arity = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    cells = m ** arity
+    ints = st.integers(0, 8)
+    bound = data.draw(st.lists(ints, min_size=m * m, max_size=m * m))
+    if data.draw(st.booleans()):
+        table = data.draw(st.lists(st.integers(-4, 4), min_size=cells, max_size=cells))
+        dist = None
+    else:
+        table = data.draw(st.lists(st.integers(0, m - 1), min_size=cells, max_size=cells))
+        dist = data.draw(st.lists(ints, min_size=m * m, max_size=m * m))
+    index = {a: i for i, a in enumerate(itertools.product(range(m), repeat=arity))}
+    expected = None
+    for a, b, x, y in neighbour_pairs(m, arity):
+        ta, tb = table[index[a]], table[index[b]]
+        gap = abs(ta - tb) if dist is None else dist[ta * m + tb]
+        if gap > bound[x * m + y]:
+            expected = a, b
+            break
+    assert model.first_violating_pair(table, m, arity, bound, dist) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1059,43 @@ def test_validate_reports_shape_of_tables_the_int_forms_cannot_read(metric, rela
     M = FiniteStructure(("a", "b"), metric, {}, {}, relations)
     rep = validate_structure(M)
     assert (rep.ok, rep.kind) == (False, "shape")
+
+
+_TWO = ((ZERO, ONE), (ONE, ZERO))
+
+
+# A non-int element index or a float value used to pass validation, or to
+# escape it as a bare TypeError: each is a shape failure naming its symbol.
+def test_validate_refuses_a_float_function_output():
+    M = FiniteStructure(("a", "b"), _TWO, {}, {"f": FunctionInterp(1, ONE, {(0,): 0, (1,): 1.0})}, {})
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind, rep.witness) == (False, "shape", (1,))
+    assert "function 'f'" in rep.message
+
+
+def test_validate_refuses_a_float_constant():
+    M = FiniteStructure(("a", "b"), _TWO, {"c": 1.0}, {}, {"R": RelationInterp(1, ONE, {(0,): ZERO, (1,): ONE})})
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "shape")
+    assert "constant 'c'" in rep.message
+
+
+def test_validate_refuses_a_float_metric_value():
+    M = FiniteStructure(("a", "b"), ((ZERO, 0.5), (0.5, ZERO)), {}, {}, {})
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "shape")
+    assert rep.message == "metric 'd' has a value that is not an exact rational: 0.5"
+    with pytest.raises(StructureError, match="metric 'd'"):
+        M.int_metric
+
+
+def test_validate_refuses_a_float_relation_value():
+    M = FiniteStructure(("a", "b"), _TWO, {}, {}, {"R": RelationInterp(1, ONE, {(0,): ZERO, (1,): 0.5})})
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "shape")
+    assert rep.message == "relation 'R' has a value that is not an exact rational: 0.5"
+    with pytest.raises(StructureError, match="relation 'R'"):
+        M.int_relations
 
 
 def test_eval_over_a_table_missing_a_tuple_names_the_symbol():
