@@ -18,8 +18,6 @@ from .mean import (
     Ultracharge,
     build_ultramean,
     check_ultramean_identity,
-    diagonal_class,
-    powermean,
 )
 from .model import (
     EvalError,
@@ -28,7 +26,6 @@ from .model import (
     RelationInterp,
     StructureError,
     automorphisms,
-    eval_condition,
     eval_formula,
     eval_table,
     validate_structure,
@@ -40,7 +37,6 @@ from .definability import (
     automorphism_invariant,
     check_distance_axioms,
     check_graph_identities,
-    compose_with_function,
     distance_predicate,
     function_graph,
     inf_over_definable,

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
-from .model import FiniteStructure, automorphisms, eval_table, first_violating_pair
+from .model import FiniteStructure, automorphisms, eval_table, first_violating_pair, row_major
 from .typespace import FormulaFamily, TypeVector, factor_table_through_family, family_tables
 
 ZERO = Fraction(0)
@@ -49,17 +49,19 @@ class FunctionTable:
     table: dict[tuple[int, ...], tuple[int, ...]]
 
 
-def validate_predicate(M: FiniteStructure, P: PredicateTable) -> None:
-    expected = set(itertools.product(range(M.size), repeat=P.arity))
-    if set(P.values) != expected:
+def validate_predicate(M: FiniteStructure, P: PredicateTable) -> list[Fraction]:
+    """P's values in the order of `_tuples`, once its keys are checked to be
+    exactly the tuples of its arity."""
+    values = row_major(P.values, M.size, P.arity)
+    if values is None:
         raise DefinabilityError(
-            f"predicate table must cover all {len(expected)} tuples of arity {P.arity}"
+            f"predicate table must cover all {M.size ** P.arity} tuples of arity {P.arity}"
         )
+    return values
 
 
 def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
-    expected = set(itertools.product(range(M.size), repeat=f.arity_in))
-    if set(f.table) != expected:
+    if row_major(f.table, M.size, f.arity_in) is None:
         raise DefinabilityError("function table must cover every input tuple")
     for args, out in f.table.items():
         if len(out) != f.arity_out:
@@ -69,11 +71,13 @@ def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
     # All pairs: M is not validated here, and reducing to neighbour pairs
     # for tuple-valued outputs needs the triangle inequality of its metric.
     # Tuple distances are int sums over the metric's common denominator.
+    # The witness is the first violating pair in this set's order.
     d, _ = M.int_metric
     lam_num, lam_den = f.lam.as_integer_ratio()
-    for a in expected:
+    inputs = set(itertools.product(range(M.size), repeat=f.arity_in))
+    for a in inputs:
         fa = f.table[a]
-        for b in expected:
+        for b in inputs:
             out = sum(d[x][y] for x, y in zip(fa, f.table[b]))
             if out * lam_den > lam_num * sum(d[x][y] for x, y in zip(a, b)):
                 raise DefinabilityError(
@@ -206,10 +210,10 @@ def check_distance_axioms(M: FiniteStructure, P: PredicateTable) -> DistanceAxio
     `_approach_refutation`, with no LP; the first failing point is the
     witness, with its Farkas pair.
     """
-    validate_predicate(M, P)
+    values = validate_predicate(M, P)
     tuples = _tuples(M, P.arity)
     d, D = M.int_metric
-    nums, den = linalg.int_row(list(map(P.values.__getitem__, tuples)))
+    nums, den = linalg.int_row(values)
     L = math.lcm(den, D)
     p = nums if L == den else list(map((L // den).__mul__, nums))
     if L != D:
@@ -430,19 +434,19 @@ def inf_over_definable(
     tuples_D, n = _normalize_set(D, n)
     if not tuples_D:
         raise DefinabilityError("D must be nonempty")
-    validate_predicate(M, P)
+    values = validate_predicate(M, P)
     m = P.arity - n
     if m < 0:
         raise DefinabilityError("P arity must be at least the set arity")
     xs = _tuples(M, m)
     ys = _tuples(M, n)
     d, D = M.int_metric
-    nums, den = linalg.int_row(list(P.values.values()))
-    pv = dict(zip(P.values, nums))
+    nums, den = linalg.int_row(values)
+    pv = dict(zip(_tuples(M, P.arity), nums))
     # |P(x, y1) - P(x, y2)| > lam * d(u, v), times den * lam.denominator * D,
     # scanned over the row-major block of each x
     lhs, rhs = lam.denominator * D, lam.numerator * den
-    cells = list(map(lhs.__mul__, map(pv.__getitem__, _tuples(M, P.arity))))
+    cells = list(map(lhs.__mul__, nums))
     bound = list(map(rhs.__mul__, itertools.chain.from_iterable(d)))
     block = len(ys)
     for i, x in enumerate(xs):
@@ -470,21 +474,6 @@ def inf_over_definable(
 def function_graph(M: FiniteStructure, f: FunctionTable) -> frozenset[tuple[int, ...]]:
     """The set of (input, output) tuples of f, as (n+m)-tuples."""
     return frozenset(a + out for a, out in f.table.items())
-
-
-def compose_with_function(
-    M: FiniteStructure, P: PredicateTable, f: FunctionTable
-) -> PredicateTable:
-    """The table (x, y) -> P(f(x), y); arity f.arity_in + (P.arity - f.arity_out)."""
-    rest = P.arity - f.arity_out
-    if rest < 0:
-        raise DefinabilityError("P arity must cover the function output")
-    values: dict[tuple[int, ...], Fraction] = {}
-    for x in _tuples(M, f.arity_in):
-        fx = f.table[x]
-        for y in _tuples(M, rest):
-            values[x + y] = P.values[fx + y]
-    return PredicateTable(f.arity_in + rest, values)
 
 
 @dataclass

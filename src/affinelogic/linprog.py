@@ -5,13 +5,16 @@ tableau, Bland's rule throughout (smallest eligible index enters, ties in the
 ratio test go to the row whose basic variable has the smallest index), so the
 method terminates without cycling.  No floating point anywhere.
 
-`solve_standard` is `Fraction` in and out over `solve_int`, which takes int
-rows.  The tableau is int rows over one denominator, pivoted by the
-fraction-free kernel of `linalg`.  Phase 1 starts from each row times its
-own denominator, artificial columns of 1 and artificial costs L / den_i (L
-the lcm of the denominators): positive column and objective scalings of
-the textbook `Fraction` tableau, which keep every reduced-cost sign and
-every ratio order, so the pivots and results are the textbook ones.
+`solve_int` takes int rows, each over its own positive denominator, and
+every LP of the library is stated that way.  `solve_standard`, `Fraction`
+in and out, is the entry point for outside callers: it scales each row to
+ints and calls `solve_int`.  The tableau is int rows over one
+denominator, pivoted by the fraction-free kernel of `linalg`.  Phase 1
+starts from each row times its own denominator, artificial columns of 1
+and artificial costs L / den_i (L the lcm of the denominators): positive
+column and objective scalings of the textbook `Fraction` tableau, which
+keep every reduced-cost sign and every ratio order, so the pivots and
+results are the textbook ones.
 
 Infeasible problems come back with a Farkas certificate y: y.A <= 0
 componentwise and y.b > 0, stated for the caller's row orientation.  Every

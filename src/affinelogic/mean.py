@@ -197,16 +197,6 @@ def build_ultramean(
     return MeanStructure(quotient, tuple(structures), mu, tuple(reps), index, support)
 
 
-def powermean(M: FiniteStructure, mu: Ultracharge, cap: int = DEFAULT_CAP) -> MeanStructure:
-    """Mean of len(mu) copies of the same structure."""
-    return build_ultramean([M] * len(mu), mu, cap=cap)
-
-
-def diagonal_class(mean: MeanStructure, element: int) -> int:
-    """Quotient element of the constant tuple (e, e, ..., e)."""
-    return mean.class_index((element,) * len(mean.factors))
-
-
 @dataclass(frozen=True)
 class UltrameanReport:
     """Both sides of the mean identity for one formula and assignment."""

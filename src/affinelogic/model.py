@@ -137,13 +137,31 @@ class FiniteStructure:
         """
         m, out = self.size, {}
         for name, rel in self.relations.items():
-            try:
-                values = [rel.table[a] for a in itertools.product(range(m), repeat=rel.arity)]
-            except KeyError as e:
-                raise StructureError(f"relation {name!r} has no value at {e.args[0]}") from None
+            values = row_major(rel.table, m, rel.arity)
+            if values is None:
+                missing = next((a for a in itertools.product(range(m), repeat=rel.arity)
+                                if a not in rel.table), None)
+                raise StructureError(
+                    f"relation {name!r} table must cover all {m ** rel.arity} tuples"
+                    if missing is None else f"relation {name!r} has no value at {missing}")
             nums, R = int_row(_exact(values, f"relation {name!r}"))
             out[name] = tuple(nums), R
         return out
+
+    @cached_property
+    def function_tables(self) -> dict[str, dict[tuple[int, ...], int]]:
+        """Each function's table, its outputs checked once to be element
+        indices (ints in range(m)); the evaluator reads functions through
+        it.  An output that is not one is an EvalError naming the function.
+        A missing input is reported where the evaluator reads it."""
+        m = self.size
+        for name, fn in self.functions.items():
+            outs = fn.table.values()
+            if outs and not (all(issubclass(t, int) for t in set(map(type, outs)))
+                             and min(outs) >= 0 and max(outs) < m):
+                bad = next(o for o in outs if not (isinstance(o, int) and 0 <= o < m))
+                raise EvalError(f"function {name!r} maps to {bad!r}, outside the domain of {m} elements")
+        return {name: fn.table for name, fn in self.functions.items()}
 
     def is_first_order(self) -> bool:
         """True when the metric and every relation take values in {0, 1}."""
@@ -152,6 +170,19 @@ class FiniteStructure:
             *(rel.table.values() for rel in self.relations.values()),
         )
         return all(v.denominator == 1 and 0 <= v.numerator <= 1 for v in values)
+
+
+def row_major(table: Mapping[tuple[int, ...], object], m: int, arity: int) -> list | None:
+    """The values of a table keyed by the tuples of range(m)^arity, read in
+    row-major (itertools.product) order, or None unless its keys are exactly
+    those tuples.  m^arity keys that include every such tuple are exactly
+    them, so the read is the cover check."""
+    if len(table) != m ** arity:
+        return None
+    try:
+        return list(map(table.__getitem__, itertools.product(range(m), repeat=arity)))
+    except KeyError:
+        return None
 
 
 def _exact(values: list, what: str) -> list:
@@ -312,17 +343,11 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
             return _fail("shape", f"constant {name!r} is not an element index", (idx,))
         if not 0 <= idx < m:
             return _fail("shape", f"constant {name!r} maps outside the domain", (idx,))
-    # A table of m^k keys that holds every tuple of range(m)^k has exactly
-    # those keys: reading them all, row-major, is the cover check.
     outputs = {}
     for name, fn in M.functions.items():
-        expected = m ** fn.arity
-        try:
-            outs = list(map(fn.table.__getitem__, itertools.product(range(m), repeat=fn.arity)))
-        except KeyError:
-            outs = None
-        if outs is None or len(fn.table) != expected:
-            return _fail("shape", f"function {name!r} table must cover all {expected} tuples")
+        outs = row_major(fn.table, m, fn.arity)
+        if outs is None:
+            return _fail("shape", f"function {name!r} table must cover all {m ** fn.arity} tuples")
         if fn.lam < 0:
             return _fail("shape", f"function {name!r} has negative Lipschitz constant")
         if not all(issubclass(t, int) for t in set(map(type, outs))):
@@ -333,10 +358,8 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
             return _fail("shape", f"function {name!r} maps outside the domain", args)
         outputs[name] = outs
     for name, rel in M.relations.items():
-        expected = m ** rel.arity
-        if len(rel.table) != expected or not all(
-                map(rel.table.__contains__, itertools.product(range(m), repeat=rel.arity))):
-            return _fail("shape", f"relation {name!r} table must cover all {expected} tuples")
+        if row_major(rel.table, m, rel.arity) is None:
+            return _fail("shape", f"relation {name!r} table must cover all {m ** rel.arity} tuples")
         if rel.lam < 0:
             return _fail("shape", f"relation {name!r} has negative Lipschitz constant")
     try:
@@ -562,7 +585,10 @@ def _compile_term(t: Term):
         def const(M, dom):
             if name not in M.constants:
                 raise EvalError(f"constant {name!r} not interpreted")
-            return [M.constants[name]]
+            c = M.constants[name]
+            if not isinstance(c, int) or not 0 <= c < M.size:
+                raise EvalError(f"constant {name!r} is {c!r}, outside the domain of {M.size} elements")
+            return [c]
         return (), const
     n, (vs, cols) = len(t.args), _joined(t.args)
 
@@ -572,8 +598,9 @@ def _compile_term(t: Term):
             raise EvalError(f"function {name!r} not interpreted")
         if n != fn.arity:
             raise EvalError(f"function {name!r} takes {fn.arity} arguments, got {n}")
+        table = M.function_tables[name]
         try:
-            return [fn.table[a] for a in zip(*cols(M, dom))]
+            return [table[a] for a in zip(*cols(M, dom))]
         except KeyError as e:
             raise StructureError(f"function {name!r} has no value at {e.args[0]}") from None
     return vs, apply
@@ -624,11 +651,6 @@ def eval_table(
         idx = [i + k * s for i in idx for k in range(m)]
     keys = itertools.product(range(m), repeat=len(variables))
     return dict(zip(keys, [cells[i] for i in idx]))
-
-
-def eval_condition(M: FiniteStructure, cond, asg: Mapping[str, int] | None = None) -> bool:
-    """True when lhs <= rhs holds at the assignment."""
-    return eval_formula(M, cond.lhs, asg) <= eval_formula(M, cond.rhs, asg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AffineLogicError, InternalError
-from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int, solve_standard
-from .model import FiniteStructure, eval_table
+from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int
+from .model import FiniteStructure, eval_table, row_major
 from .syntax import Condition, Formula, free_vars
 
 ZERO = Fraction(0)
@@ -346,7 +346,7 @@ def exposed_face(
     tuple of the family's arity.
     """
     n = hull.family.arity
-    if set(table) != set(itertools.product(range(hull.structure.size), repeat=n)):
+    if row_major(table, hull.structure.size, n) is None:
         raise TypespaceError(
             f"predicate table must cover all {hull.structure.size ** n} tuples of arity {n}"
         )
@@ -432,38 +432,28 @@ def face_check_functionals(
     hull: TypeHull, functionals: Sequence[tuple[Fraction, tuple[Fraction, ...]]]
 ) -> FaceReport:
     values = hull.vertex_values()
-    nv = len(values)
-    cut_vertices = tuple(
-        i for i, v in enumerate(values)
-        if all(_score(fn, v) >= 0 for fn in functionals)
-    )
+    nv, nf = len(values), len(functionals)
+    # each functional's vertex scores as int numerators over their lcm
+    scores = [linalg.int_row([_score(fn, v) for v in values]) for fn in functionals]
+    cut_vertices = tuple(i for i in range(nv) if all(nums[i] >= 0 for nums, _ in scores))
     if not functionals:
         return FaceReport(True, cut_vertices)
 
-    # Variables: alpha (first endpoint), beta (second).  Constraints keep the
-    # midpoint inside the cut; minimizing one functional at the alpha
-    # endpoint probes for a violation.  Midpoints suffice for closed convex
-    # cuts of a polytope.
-    vertex_scores = [[_score(fn, v) for v in values] for fn in functionals]
-    nf = len(functionals)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    width = 2 * nv + nf
-    row = [ONE] * nv + [ZERO] * nv + [ZERO] * nf
-    rows.append(row)
-    rhs.append(ONE)
-    row = [ZERO] * nv + [ONE] * nv + [ZERO] * nf
-    rows.append(row)
-    rhs.append(ONE)
-    for j in range(nf):
-        row = vertex_scores[j] + vertex_scores[j] + [ZERO] * nf
-        row[2 * nv + j] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
+    # Variables: alpha (first endpoint), beta (second), one slack per
+    # functional.  Constraints keep the midpoint inside the cut; minimizing
+    # one functional at the alpha endpoint probes for a violation.
+    # Midpoints suffice for closed convex cuts of a polytope.  Functional j's
+    # row is its scores at both endpoints, -den in its slack column, over den.
+    inputs = [[1] * nv + [0] * (nv + nf) + [1], [0] * nv + [1] * nv + [0] * nf + [1]]
+    dens = [1, 1]
+    for j, (nums, den) in enumerate(scores):
+        row = nums + nums + [0] * (nf + 1)
+        row[2 * nv + j] = -den
+        inputs.append(row)
+        dens.append(den)
 
-    for k in range(nf):
-        cost = vertex_scores[k] + [ZERO] * nv + [ZERO] * nf
-        res = solve_standard(rows, rhs, cost)
+    for k, (nums, den) in enumerate(scores):
+        res = solve_int(inputs, dens, nums + [0] * (nv + nf), den)
         if _lp_status(res, OPTIMAL, INFEASIBLE) == INFEASIBLE:
             # no hull pair has its midpoint in the cut: vacuously facial
             return FaceReport(True, cut_vertices)
@@ -511,8 +501,8 @@ def affine_satisfiable_tables(
         raise TypespaceError("need at least one tuple")
     na = len(tuples)
     nc = len(gaps)
-    # the int rows solve_standard would derive: convexity over 1, then each
-    # gap row over the lcm den of its values, with -den in its slack column
+    # convexity over 1, then each gap row over the lcm den of its values,
+    # with -den in its slack column
     inputs, dens = [[1] * na + [0] * nc + [1]], [1]
     for i, g in enumerate(gaps):
         nums, den = linalg.int_row([g[a] for a in tuples])
@@ -666,24 +656,20 @@ def type_distance(p: TypeVector, q: TypeVector) -> Fraction:
     right = sorted(q.witness.items())
     if left == right:
         return ZERO
-    la = [a for a, _ in left]
-    ra = [b for b, _ in right]
-    nl, nr = len(la), len(ra)
-    cost = [M.tuple_distance(a, b) for a in la for b in ra]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(nl):
-        row = [ZERO] * (nl * nr)
-        for j in range(nr):
-            row[i * nr + j] = ONE
-        rows.append(row)
-        rhs.append(left[i][1])
-    for j in range(nr):
-        row = [ZERO] * (nl * nr)
-        for i in range(nl):
-            row[i * nr + j] = ONE
-        rows.append(row)
-        rhs.append(right[j][1])
-    res = solve_standard(rows, rhs, cost)
+    nl, nr = len(left), len(right)
+    # x[i * nr + j] is the mass moved from left[i] to right[j]; one marginal
+    # row per witness point, over the denominator of its weight
+    marginals = [range(i * nr, i * nr + nr) for i in range(nl)]
+    marginals += [range(j, nl * nr, nr) for j in range(nr)]
+    inputs, dens = [], []
+    for cells, (_, w) in zip(marginals, left + right):
+        num, den = Fraction(w).as_integer_ratio()
+        row = [0] * (nl * nr) + [num]
+        for c in cells:
+            row[c] = den
+        inputs.append(row)
+        dens.append(den)
+    cost = linalg.int_row([M.tuple_distance(a, b) for a, _ in left for b, _ in right])
+    res = solve_int(inputs, dens, *cost)
     _lp_status(res, OPTIMAL)
     return res.value

@@ -694,7 +694,6 @@ def _lp_fails_its_recheck(*args):
 
 @pytest.mark.parametrize("solve", [_lp_unbounded, _lp_fails_its_recheck])
 def test_failed_internal_recheck_exits_3(capsys, work, monkeypatch, solve):
-    monkeypatch.setattr(typespace, "solve_standard", solve)
     monkeypatch.setattr(typespace, "solve_int", solve)
     code, out, err = run(capsys, [
         "types", "extreme", "--structure", work["fo"], "--family", work["family_fo"],

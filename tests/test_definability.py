@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +21,6 @@ from affinelogic.definability import (
     automorphism_invariant,
     check_distance_axioms,
     check_graph_identities,
-    compose_with_function,
     distance_predicate,
     function_graph,
     inf_over_definable,
@@ -33,11 +34,24 @@ from affinelogic.definability import (
     validate_predicate,
     zeroset_recover,
 )
-from affinelogic.model import FiniteStructure, RelationInterp, neighbour_pairs
+from affinelogic.model import (
+    FiniteStructure,
+    FunctionInterp,
+    RelationInterp,
+    StructureError,
+    neighbour_pairs,
+    validate_structure,
+)
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_metric
 from affinelogic.syntax import parse_formula
-from affinelogic.typespace import FormulaFamily, affine_satisfiable_tables
+from affinelogic.typespace import (
+    FormulaFamily,
+    TypespaceError,
+    affine_satisfiable_tables,
+    exposed_face,
+    type_hull,
+)
 
 ZERO = F(0)
 ONE = F(1)
@@ -548,6 +562,54 @@ def test_function_table_checks_match_fraction_reference(case):
 
 
 # ---------------------------------------------------------------------------
+# the cover check of tuple-keyed tables (model.row_major), from each caller
+
+_SPOIL = {
+    "missing": lambda table: {a: v for a, v in table.items() if a != (1,)},
+    "extra": lambda table: {**table, (4,): table[(0,)]},
+    "arity": lambda table: {a + (0,): v for a, v in table.items()},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_SPOIL))
+def test_every_cover_check_keeps_its_message(A2, defect):
+    spoil = _SPOIL[defect]
+    ident = {(x,): x for x in range(4)}
+    M = replace(A2, functions={"f": FunctionInterp(1, ONE, spoil(ident))})
+    assert validate_structure(M).message == "function 'f' table must cover all 4 tuples"
+    mu = A2.relations["mu"]
+    M = replace(A2, relations={"mu": RelationInterp(1, ONE, spoil(mu.table))})
+    assert validate_structure(M).message == "relation 'mu' table must cover all 4 tuples"
+    int_form = {
+        "missing": "relation 'mu' has no value at (1,)",
+        "extra": "relation 'mu' table must cover all 4 tuples",
+        "arity": "relation 'mu' has no value at (0,)",
+    }[defect]
+    with pytest.raises(StructureError, match=re.escape(int_form)):
+        M.int_relations
+
+    P = PredicateTable(1, spoil(dict(mu.table)))
+    Q = PredicateTable(1, dict(mu.table))
+    message = re.escape("predicate table must cover all 4 tuples of arity 1")
+    for check in (
+        lambda: check_distance_axioms(A2, P),
+        lambda: zeroset_recover(A2, P),
+        lambda: lambda_domination(A2, P, Q, ZERO),
+        lambda: lambda_domination(A2, Q, P, ZERO),
+        lambda: is_definable_predicate(A2, P, mu_family(A2)),
+        lambda: inf_over_definable(A2, {()}, P, ONE, 0),
+        lambda: automorphism_invariant(A2, P),
+    ):
+        with pytest.raises(DefinabilityError, match=message):
+            check()
+    with pytest.raises(TypespaceError, match=message):
+        exposed_face(type_hull(A2, 1, mu_family(A2)), P.values)
+    f = FunctionTable(1, 1, ONE, spoil({(x,): (x,) for x in range(4)}))
+    with pytest.raises(DefinabilityError, match="function table must cover every input tuple"):
+        validate_function_table(A2, f)
+
+
+# ---------------------------------------------------------------------------
 # domination
 
 
@@ -672,16 +734,6 @@ def test_inf_over_definable_checks(A2):
 
 # ---------------------------------------------------------------------------
 # function graphs
-
-
-def test_compose_with_function_closure(A2):
-    compl = FunctionTable(1, 1, ONE, {(x,): (x ^ 3,) for x in range(4)})
-    P = predicate_from_formula(A2, parse_formula("mu(x)", A2.signature()), ("x",))
-    comp = compose_with_function(A2, P, compl)
-    rep = is_definable_predicate(A2, comp, mu_family(A2))
-    assert rep.definable
-    assert rep.witness.offset == 1
-    assert rep.witness.coeffs == (F(-1),)
 
 
 def test_graph_identities_for_nonexpansive_map(A2):

@@ -16,8 +16,6 @@ from affinelogic.mean import (
     Ultracharge,
     build_ultramean,
     check_ultramean_identity,
-    diagonal_class,
-    powermean,
 )
 from affinelogic.linalg import int_row
 from affinelogic.model import FiniteStructure, FunctionInterp, RelationInterp
@@ -57,7 +55,7 @@ def test_ultracharge_validation():
 def test_two_copy_mean_frozen():
     M = two_point()
     mu = Ultracharge([F(1, 2), F(1, 2)])
-    mean = powermean(M, mu)
+    mean = build_ultramean([M] * 2, mu)
     Q = mean.structure
     assert Q.size == 4
     # classes of (0,1) and (1,0) sit at distance 1/2*1 + 1/2*1 = 1
@@ -65,7 +63,7 @@ def test_two_copy_mean_frozen():
     b = mean.class_index((1, 0))
     assert Q.metric[a][b] == 1
     # and each is at distance 1/2 from either diagonal class
-    da = diagonal_class(mean, 0)
+    da = mean.class_index((0, 0))
     assert Q.metric[a][da] == F(1, 2)
     # averaged relation values
     assert Q.relations["R"].table[(a,)] == F(1, 2)
@@ -75,7 +73,7 @@ def test_two_copy_mean_frozen():
 def test_zero_weight_factor_collapses():
     M = two_point()
     mu = Ultracharge([ONE, ZERO])
-    mean = powermean(M, mu)
+    mean = build_ultramean([M] * 2, mu)
     # the second coordinate is invisible: only two classes remain
     assert mean.structure.size == 2
     assert mean.class_index((0, 0)) == mean.class_index((0, 1))
@@ -121,7 +119,7 @@ def test_signature_mismatch_rejected():
 def test_cap_enforced():
     M = two_point()
     with pytest.raises(CapExceededError):
-        powermean(M, Ultracharge([F(1, 3)] * 3), cap=7)
+        build_ultramean([M] * 3, Ultracharge([F(1, 3)] * 3), cap=7)
 
 
 def test_empty_factor_rejected():
@@ -137,7 +135,7 @@ def test_length_mismatch_rejected():
 
 
 def test_class_index_range_checks():
-    mean = powermean(two_point(), Ultracharge([F(1, 2), F(1, 2)]))
+    mean = build_ultramean([two_point()] * 2, Ultracharge([F(1, 2), F(1, 2)]))
     with pytest.raises(MeanError):
         mean.class_index((0,))
     with pytest.raises(MeanError):

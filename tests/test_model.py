@@ -20,7 +20,6 @@ from affinelogic.model import (
     RelationInterp,
     StructureError,
     automorphisms,
-    eval_condition,
     eval_formula,
     eval_table,
     neighbour_pairs,
@@ -43,7 +42,6 @@ from affinelogic.syntax import (
     Term,
     Var,
     free_vars,
-    parse_condition,
     parse_formula,
     render,
     term_vars,
@@ -356,14 +354,6 @@ def test_eval_formula_requires_assignment(algebra_structure):
     phi = parse_formula("mu(x)", M.signature())
     with pytest.raises(Exception):
         eval_formula(M, phi, {})
-
-
-def test_eval_condition(algebra_structure):
-    M = algebra_structure
-    sig = M.signature()
-    cond = parse_condition("mu(x) <= 1/2 * 1", sig)
-    assert eval_condition(M, cond, {"x": 0})
-    assert not eval_condition(M, cond, {"x": M.size - 1})
 
 
 def test_eval_table_matches_pointwise_eval(algebra_structure):
@@ -927,14 +917,44 @@ def test_eval_formula_refuses_an_assignment_outside_the_domain():
     # for y = -1), or raise IndexError or TypeError, instead
     M = random_structure(random.Random(0), max_size=3)
     assert M.size == 3
-    S, cond = Apply("S", (Var("x"), Var("y"))), parse_condition("S(x, y) <= 1", M.signature())
+    S = Apply("S", (Var("x"), Var("y")))
     for name, value in (("y", 3), ("y", -1), ("x", 3), ("x", 1.0), ("y", "1")):
         asg = {"x": 0, "y": 0, name: value}
         message = re.escape(f"variable '{name}' is assigned {value!r}, outside the domain of 3")
         with pytest.raises(EvalError, match=message):
             eval_formula(M, S, asg)
+
+
+def _three_points(constants=(), functions=()):
+    metric = tuple(tuple(ZERO if i == j else ONE for j in range(3)) for i in range(3))
+    R = RelationInterp(1, ONE, {(0,): ZERO, (1,): F(1, 2), (2,): ONE})
+    return FiniteStructure(("a", "b", "c"), metric, dict(constants), dict(functions), {"R": R})
+
+
+@pytest.mark.parametrize("value", [-1, 3, 1.0])
+def test_eval_refuses_a_constant_outside_the_domain(value):
+    # -1 used to read element 2's cell, 3 raised IndexError and 1.0 TypeError
+    M = _three_points(constants={"c": value})
+    message = re.escape(f"constant 'c' is {value!r}, outside the domain of 3 elements")
+    for phi in (Apply("R", (Const("c"),)), Apply(METRIC, (Const("c"), Var("x")))):
         with pytest.raises(EvalError, match=message):
-            eval_condition(M, cond, asg)
+            eval_table(M, phi, ("x",))
+        with pytest.raises(EvalError, match=message):
+            eval_formula(M, phi, {"x": 0})
+
+
+@pytest.mark.parametrize("value", [-1, 3, 1.0])
+def test_eval_refuses_a_function_output_outside_the_domain(value):
+    # checked once per structure, so a point whose own output is in range
+    # is refused too
+    M = _three_points(functions={"f": FunctionInterp(1, ONE, {(0,): 1, (1,): value, (2,): 0})})
+    message = re.escape(f"function 'f' maps to {value!r}, outside the domain of 3 elements")
+    fx = Func("f", (Var("x"),))
+    for phi in (Apply("R", (fx,)), Apply(METRIC, (fx, Var("x")))):
+        with pytest.raises(EvalError, match=message):
+            eval_table(M, phi, ("x",))
+        with pytest.raises(EvalError, match=message):
+            eval_formula(M, phi, {"x": 0})
 
 
 def test_long_sum_needs_no_recursion():

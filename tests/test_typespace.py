@@ -3,20 +3,32 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.linalg import gauss_solve
 from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
 from affinelogic.model import FiniteStructure, RelationInterp, eval_table
 from affinelogic.pra import build_algebra
-from affinelogic.sampling import random_hull_structure
+from affinelogic.sampling import random_formula, random_hull_structure, random_structure
 from affinelogic.suites import oracle_extreme
-from affinelogic.syntax import Apply, Var, parse_condition, parse_condition_line, parse_formula
+from affinelogic.syntax import (
+    Apply,
+    Condition,
+    One,
+    Scale,
+    Sum,
+    Var,
+    parse_condition,
+    parse_condition_line,
+    parse_formula,
+)
 from affinelogic.typespace import (
     BoundaryMeasure,
     DecompositionError,
     ExtremeReport,
     ExtremeVertex,
+    FaceReport,
+    FaceViolation,
     FormulaFamily,
     NonExtremeVertex,
     NotAffineError,
@@ -24,10 +36,13 @@ from affinelogic.typespace import (
     TypeVector,
     TypespaceError,
     _lp_status,
+    _score,
     affine_satisfiable,
     barycenter,
+    condition_functionals,
     exposed_face,
     extreme_points,
+    face_check_functionals,
     is_face,
     keisler_decompose,
     mixture_type,
@@ -468,6 +483,175 @@ def test_type_distance_triangle_and_symmetry_random():
                 assert type_distance(a, c) <= dab + type_distance(b, c)
 
 
+# The face and transport LPs as they were before they stated int rows for
+# solve_int: Fraction rows through solve_standard.  Bodies verbatim; only
+# the names carry a _ref_ prefix.
+
+
+def _ref_face_check_functionals(hull, functionals):
+    values = hull.vertex_values()
+    nv = len(values)
+    cut_vertices = tuple(
+        i for i, v in enumerate(values)
+        if all(_score(fn, v) >= 0 for fn in functionals)
+    )
+    if not functionals:
+        return FaceReport(True, cut_vertices)
+
+    # Variables: alpha (first endpoint), beta (second).  Constraints keep the
+    # midpoint inside the cut; minimizing one functional at the alpha
+    # endpoint probes for a violation.  Midpoints suffice for closed convex
+    # cuts of a polytope.
+    vertex_scores = [[_score(fn, v) for v in values] for fn in functionals]
+    nf = len(functionals)
+    rows = []
+    rhs = []
+    row = [ONE] * nv + [ZERO] * nv + [ZERO] * nf
+    rows.append(row)
+    rhs.append(ONE)
+    row = [ZERO] * nv + [ONE] * nv + [ZERO] * nf
+    rows.append(row)
+    rhs.append(ONE)
+    for j in range(nf):
+        row = vertex_scores[j] + vertex_scores[j] + [ZERO] * nf
+        row[2 * nv + j] = -ONE
+        rows.append(row)
+        rhs.append(ZERO)
+
+    for k in range(nf):
+        cost = vertex_scores[k] + [ZERO] * nv + [ZERO] * nf
+        res = solve_standard(rows, rhs, cost)
+        if _lp_status(res, OPTIMAL, INFEASIBLE) == INFEASIBLE:
+            # no hull pair has its midpoint in the cut: vacuously facial
+            return FaceReport(True, cut_vertices)
+        if res.value < 0:
+            x = mixture_type(hull.vertices, res.x[:nv]).values
+            y = mixture_type(hull.vertices, res.x[nv:2 * nv]).values
+            mid = tuple((a + b) / 2 for a, b in zip(x, y))
+            return FaceReport(
+                False,
+                cut_vertices,
+                FaceViolation(mid, x, y, F(1, 2), k),
+            )
+    return FaceReport(True, cut_vertices)
+
+
+def _ref_type_distance(p, q):
+    if p.witness is None or q.witness is None:
+        raise TypespaceError("type_distance needs witnesses on both types")
+    if p.structure is None or q.structure is None or p.structure != q.structure:
+        raise TypespaceError("witnesses must live over the same structure")
+    M = p.structure
+    left = sorted(p.witness.items())
+    right = sorted(q.witness.items())
+    if left == right:
+        return ZERO
+    la = [a for a, _ in left]
+    ra = [b for b, _ in right]
+    nl, nr = len(la), len(ra)
+    cost = [M.tuple_distance(a, b) for a in la for b in ra]
+    rows = []
+    rhs = []
+    for i in range(nl):
+        row = [ZERO] * (nl * nr)
+        for j in range(nr):
+            row[i * nr + j] = ONE
+        rows.append(row)
+        rhs.append(left[i][1])
+    for j in range(nr):
+        row = [ZERO] * (nl * nr)
+        for i in range(nl):
+            row[i * nr + j] = ONE
+        rows.append(row)
+        rhs.append(right[j][1])
+    res = solve_standard(rows, rhs, cost)
+    _lp_status(res, OPTIMAL)
+    return res.value
+
+
+def _mixture(points, weights):
+    """The mixture of the realized types points[i] with weights[i] > 0."""
+    used = [i for i, w in enumerate(weights) if w]
+    return mixture_type([points[i] for i in used], [weights[i] for i in used])
+
+
+def _face_case(M, family, conditions, functionals, p_weights, q_weights):
+    points = [realized_type(M, (i,), family) for i in range(M.size)]
+    hull = type_hull(M, 1, family)
+    return hull, conditions, functionals, _mixture(points, p_weights), _mixture(points, q_weights)
+
+
+_ALGEBRA = build_algebra([F(1, 2), F(1, 2)]).to_structure()
+_MU = FormulaFamily(("x",), (parse_formula("mu(x)", _ALGEBRA.signature()),))
+# mu(x) = 1/2 is two conditions, and its cut (the two atoms) is not a face:
+# the midpoint of 0 and 1 lands in it
+_MULTI_CUT = _face_case(
+    _ALGEBRA, _MU, parse_condition_line("mu(x) = 1/2 * 1", _ALGEBRA.signature()),
+    [(ZERO, (ONE,)), (F(1, 2), (-ONE,)), (F(-1, 2), (ONE,))],
+    [ONE, ZERO, ZERO, ZERO], [ZERO, F(1, 2), F(1, 3), F(1, 6)],
+)
+# one witness point against three, with unequal weights
+_UNEQUAL_SUPPORTS = _face_case(
+    _ALGEBRA, _MU, [], [(F(1, 3), (F(-1, 2),))],
+    [ZERO, ZERO, ZERO, ONE], [F(1, 2), F(1, 4), ZERO, F(1, 4)],
+)
+_SMALL = st.sampled_from([F(-2), -ONE, F(-1, 2), ZERO, F(1, 3), F(1, 2), ONE, F(2)])
+
+
+@st.composite
+def _face_cases(draw):
+    """A random structure on 1-4 points with 1-3 random family formulas in
+    x, its hull, 1-3 conditions sum_j c_j * F_j <= c_0 * 1 (affine in the
+    family, so is_face accepts them), each one possibly with its reverse
+    (an equality slice), 1-3 drawn functionals, and two random mixtures of
+    the realized types."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    M = random_structure(rng, max_size=4)
+    sig = M.signature()
+    k = draw(st.integers(1, 3))
+    family = FormulaFamily(("x",), tuple(random_formula(rng, sig, ("x",), depth=3) for _ in range(k)))
+    conditions = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = Scale(draw(_SMALL), family.formulas[0])
+        for phi in family.formulas[1:]:
+            lhs = Sum(lhs, Scale(draw(_SMALL), phi))
+        rhs = Scale(draw(_SMALL), One())
+        conditions.append(Condition(lhs, rhs))
+        if draw(st.booleans()):
+            conditions.append(Condition(Scale(-ONE, lhs), Scale(-ONE, rhs)))
+    functionals = draw(st.lists(
+        st.tuples(_SMALL, st.tuples(*[_SMALL] * k)), min_size=1, max_size=3))
+    mixes = []
+    for _ in range(2):
+        raw = draw(st.lists(st.sampled_from([ZERO, ONE, F(2), F(3)]), min_size=M.size, max_size=M.size))
+        raw[draw(st.integers(0, M.size - 1))] += 1
+        mixes.append([w / sum(raw) for w in raw])
+    return _face_case(M, family, conditions, functionals, *mixes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_face_cases())
+@example(_MULTI_CUT)
+@example(_UNEQUAL_SUPPORTS)
+def test_face_and_transport_lps_match_fraction_rows(case):
+    hull, conditions, functionals, p, q = case
+    expected = _ref_face_check_functionals(hull, condition_functionals(hull, conditions))
+    assert is_face(hull, conditions) == expected
+    assert face_check_functionals(hull, functionals) == _ref_face_check_functionals(hull, functionals)
+    assert type_distance(p, q) == _ref_type_distance(p, q)
+    assert type_distance(q, p) == _ref_type_distance(q, p)
+
+
+def test_face_differential_examples_cover_a_violation():
+    hull, conditions, functionals, p, q = _MULTI_CUT
+    rep = is_face(hull, conditions)
+    assert not rep.is_face and rep.violation.functional_index == 0
+    assert rep == _ref_face_check_functionals(hull, condition_functionals(hull, conditions))
+    assert not face_check_functionals(hull, functionals).is_face
+    assert len(p.witness) == 1 and len(q.witness) == 3
+    assert len(_UNEQUAL_SUPPORTS[3].witness) == 1 and len(_UNEQUAL_SUPPORTS[4].witness) == 3
+
+
 def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
     # These raise by explicit check, so they hold under python -O as well.
     from affinelogic import typespace
@@ -478,7 +662,6 @@ def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
     p = realized_type(M, (0,), family)
     q = realized_type(M, (1,), family)
     hull = type_hull(M, 1, family)
-    monkeypatch.setattr(typespace, "solve_standard", lambda *args: SimplexResult(UNBOUNDED))
     monkeypatch.setattr(typespace, "solve_int", lambda *args: SimplexResult(UNBOUNDED))
     with pytest.raises(TypespaceError, match="unbounded"):
         extreme_points(hull)
