@@ -10,7 +10,7 @@ probability algebras.
 """
 
 from .errors import AffineLogicError, FormatError, InternalError
-from .linalg import LinalgError, affine_factor, affinely_independent, gauss_solve
+from .linalg import LinalgError, gauss_solve
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinprogError, solve_standard
 from .mean import (
     MeanError,
@@ -101,6 +101,7 @@ from .typespace import (
     barycenter,
     exposed_face,
     extreme_points,
+    factor_through_hull,
     is_face,
     keisler_decompose,
     mixture_type,

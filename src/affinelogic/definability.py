@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, automorphisms, eval_table, first_violating_pair, row_major
-from .typespace import FormulaFamily, TypeVector, factor_table_through_family, family_tables
+from .typespace import FormulaFamily, TypeVector, factor_through_hull, family_tables, type_hull
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -381,7 +381,8 @@ def is_definable_predicate(
     validate_predicate(M, P)
     if P.arity != family.arity:
         raise DefinabilityError("predicate arity must match the family")
-    res = factor_table_through_family(M, P.values, family)
+    n = family.arity
+    res = factor_through_hull(type_hull(M, n, family, cap=M.size ** n), P.values)
     if res.ok:
         if res.offset is None or res.coeffs is None:
             raise _Internal("affine factorisation reported no coefficients")

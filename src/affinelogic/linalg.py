@@ -1,4 +1,5 @@
-"""Exact linear algebra: solving, rank, affine factoring.
+"""Exact linear algebra: solving and rank, and the result types of affine
+factoring (`typespace.factor_through_hull` solves it over a type hull).
 
 Rational matrices are eliminated by one fraction-free kernel over Python
 ints (integer-preserving Gauss-Jordan: Bareiss 1968, Edmonds).  All rows
@@ -17,7 +18,6 @@ from typing import Hashable, Sequence
 from .errors import InternalError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinalgError(InternalError):
@@ -96,9 +96,11 @@ def _row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]
 class LinearSolution:
     """Outcome of gauss_solve.
 
-    If consistent, x is one exact solution (free variables set to 0) and
-    free_count is the dimension of the solution set.  If inconsistent,
-    combination holds row multipliers y with y^T A = 0 but y^T b != 0.
+    free_count is n - rank(A), consistent or not: the dimension of the
+    solution set when there is one, and 0 exactly when the columns of A are
+    linearly independent.  If consistent, x is one exact solution (free
+    variables set to 0).  If inconsistent, combination holds row
+    multipliers y with y^T A = 0 but y^T b != 0.
     """
 
     consistent: bool
@@ -122,7 +124,8 @@ def gauss_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
         if a[r][n]:
             comb = a[r][n + 1:]
             own = comb[order[r]]  # scaled to the textbook multiplier 1 of its own input row
-            return LinearSolution(False, combination=tuple(Fraction(v, own) for v in comb))
+            return LinearSolution(False, free_count=n - len(pivots),
+                                  combination=tuple(Fraction(v, own) for v in comb))
     x = [ZERO] * n
     for r, c in pivots:
         x[c] = Fraction(a[r][n], D)
@@ -134,14 +137,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
     return len(_row_reduce([int_row(r)[0] for r in rows], len(rows[0]))[0])
-
-
-def affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:
-    """True when no point is an affine combination of the others."""
-    if not points:
-        return True
-    cols = [list(p) + [ONE] for p in points]
-    return matrix_rank(cols) == len(points)
 
 
 @dataclass
@@ -170,39 +165,3 @@ class FactorResult:
     coeffs: tuple[Fraction, ...] | None = None
     conflict: FactorConflict | None = None
     residue: FactorResidue | None = None
-
-
-def affine_factor(
-    keys: Sequence[Hashable],
-    points: Sequence[Sequence[Fraction]],
-    values: Sequence[Fraction],
-) -> FactorResult:
-    """Find c0, c with values[k] = c0 + c . points[k] for every key.
-
-    Failure comes with a certificate: either a pair of keys whose points agree
-    while the values differ, or row multipliers exhibiting an inconsistent
-    system over distinct points.
-    """
-    seen: dict[tuple[Fraction, ...], int] = {}
-    reps: list[int] = []
-    for i, p in enumerate(points):
-        key = tuple(p)
-        j = seen.get(key)
-        if j is None:
-            seen[key] = i
-            reps.append(i)
-        elif values[i] != values[j]:
-            return FactorResult(False, conflict=FactorConflict(keys[j], keys[i]))
-    rows = [[ONE] + list(points[i]) for i in reps]
-    rhs = [values[i] for i in reps]
-    sol = gauss_solve(rows, rhs)
-    if not sol.consistent:
-        if sol.combination is None:
-            raise LinalgError("inconsistent system without a row combination")
-        return FactorResult(
-            False,
-            residue=FactorResidue(tuple(keys[i] for i in reps), sol.combination),
-        )
-    if sol.x is None:
-        raise LinalgError("consistent system without a solution")
-    return FactorResult(True, offset=sol.x[0], coeffs=tuple(sol.x[1:]))

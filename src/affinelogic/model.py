@@ -122,10 +122,12 @@ class FiniteStructure:
         d(i, j) = rows[i][j] / D.
 
         Comparisons of distances, and of anything else scaled to a multiple
-        of D, are then comparisons of int numerators.  The metric must be
-        m x m.
+        of D, are then comparisons of int numerators.  A metric that is not
+        m x m is a StructureError.
         """
         m = self.size
+        if len(self.metric) != m or any(len(row) != m for row in self.metric):
+            raise StructureError("metric table must be m x m")
         flat, D = int_row(_exact([x for row in self.metric for x in row], f"metric {METRIC!r}"))
         return tuple(tuple(flat[i:i + m]) for i in range(0, m * m, m)), D
 
@@ -312,9 +314,10 @@ def first_violating_pair(
 def validate_structure(M: FiniteStructure) -> ValidationReport:
     """Check shape, metric axioms, value ranges, and declared Lipschitz bounds.
 
-    Shape covers table sizes and keys, element indices (ints in range(m))
-    and exact values: a metric or relation value that is not an int or a
-    Fraction is refused where the int forms are built, and reported here.
+    Shape covers arities (at least 1, as in `SymbolInfo`), table sizes and
+    keys, element indices (ints in range(m)) and exact values: a metric
+    that is not m x m, and a metric or relation value that is not an int or
+    a Fraction, are refused where the int forms are built, and reported here.
 
     The Lipschitz bounds are checked on neighbour pairs only (tuples that
     differ in one coordinate, see `neighbour_pairs`), which is exact: in the
@@ -336,8 +339,6 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
     m = M.size
     if m == 0:
         return _fail("shape", "structure must have at least one element")
-    if len(M.metric) != m or any(len(row) != m for row in M.metric):
-        return _fail("shape", "metric table must be m x m")
     for name, idx in M.constants.items():
         if not isinstance(idx, int):
             return _fail("shape", f"constant {name!r} is not an element index", (idx,))
@@ -345,6 +346,8 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
             return _fail("shape", f"constant {name!r} maps outside the domain", (idx,))
     outputs = {}
     for name, fn in M.functions.items():
+        if fn.arity < 1:
+            return _fail("shape", f"function {name!r} has arity {fn.arity}, must be at least 1")
         outs = row_major(fn.table, m, fn.arity)
         if outs is None:
             return _fail("shape", f"function {name!r} table must cover all {m ** fn.arity} tuples")
@@ -358,6 +361,8 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
             return _fail("shape", f"function {name!r} maps outside the domain", args)
         outputs[name] = outs
     for name, rel in M.relations.items():
+        if rel.arity < 1:
+            return _fail("shape", f"relation {name!r} has arity {rel.arity}, must be at least 1")
         if row_major(rel.table, m, rel.arity) is None:
             return _fail("shape", f"relation {name!r} table must cover all {m ** rel.arity} tuples")
         if rel.lam < 0:
@@ -596,6 +601,8 @@ def _compile_term(t: Term):
         fn = M.functions.get(name)
         if fn is None:
             raise EvalError(f"function {name!r} not interpreted")
+        if fn.arity < 1:
+            raise EvalError(f"function {name!r} has arity {fn.arity}, must be at least 1")
         if n != fn.arity:
             raise EvalError(f"function {name!r} takes {fn.arity} arguments, got {n}")
         table = M.function_tables[name]

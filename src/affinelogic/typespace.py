@@ -185,24 +185,19 @@ def type_hull(
         raise TypespaceError("n must match the family's variable count")
     if M.size ** n > cap:
         raise TypespaceError(f"tuple space size {M.size ** n} exceeds cap {cap}")
+    # every table is keyed in product order, so its values zip into the
+    # vectors; the tuples are grouped by vector in first-occurrence order
     tables = family_tables(M, family)
-    seen: dict[tuple[Fraction, ...], int] = {}
-    vertices: list[TypeVector] = []
-    realizations: list[list[tuple[int, ...]]] = []
-    for a in itertools.product(range(M.size), repeat=n):
-        values = tuple(tbl[a] for tbl in tables)
-        at = seen.get(values)
-        if at is None:
-            seen[values] = len(vertices)
-            vertices.append(TypeVector(family, values, witness={a: ONE}, structure=M))
-            realizations.append([a])
-        else:
-            realizations[at].append(a)
+    vectors = zip(*[tbl.values() for tbl in tables]) if tables else itertools.repeat(())
+    groups: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
+    for a, values in zip(itertools.product(range(M.size), repeat=n), vectors):
+        groups.setdefault(values, []).append(a)
     return TypeHull(
         structure=M,
         family=family,
-        vertices=tuple(vertices),
-        realizations=tuple(tuple(r) for r in realizations),
+        vertices=tuple(TypeVector(family, values, witness={reals[0]: ONE}, structure=M)
+                       for values, reals in groups.items()),
+        realizations=tuple(map(tuple, groups.values())),
         first_order=M.is_first_order(),
     )
 
@@ -211,17 +206,35 @@ def type_hull(
 # affine factoring through a family
 
 
-def factor_table_through_family(
-    M: FiniteStructure,
-    table: Mapping[tuple[int, ...], Fraction],
-    family: FormulaFamily,
+def factor_through_hull(
+    hull: TypeHull, table: Mapping[tuple[int, ...], Fraction]
 ) -> linalg.FactorResult:
-    """Express a tuple-indexed table as c0 + c . (family values), exactly."""
-    tables = family_tables(M, family)
-    keys = sorted(table)
-    points = [tuple(tbl[a] for tbl in tables) for a in keys]
-    values = [table[a] for a in keys]
-    return linalg.affine_factor(keys, points, values)
+    """Express a table over the hull's tuples as c0 + c . (family values),
+    exactly, by one solve over the vertices: row [1 | vertex values], and
+    right-hand side the table at the vertex's first realization.
+
+    Failure comes with a certificate: the first tuple, in product order,
+    whose value differs from the value at its vertex's first realization,
+    paired with that realization; or row multipliers over the first
+    realizations exhibiting an inconsistent system over distinct vectors.
+    """
+    firsts = [reals[0] for reals in hull.realizations]
+    rhs = [table[a] for a in firsts]
+    clashes = [(a, reals[0]) for reals, v in zip(hull.realizations, rhs)
+               for a in reals[1:] if table[a] != v]
+    if clashes:
+        a, first = min(clashes)
+        return linalg.FactorResult(False, conflict=linalg.FactorConflict(first, a))
+    sol = linalg.gauss_solve([(ONE, *v.values) for v in hull.vertices], rhs)
+    if not sol.consistent:
+        if sol.combination is None:
+            raise linalg.LinalgError("inconsistent system without a row combination")
+        return linalg.FactorResult(
+            False, residue=linalg.FactorResidue(tuple(firsts), sol.combination)
+        )
+    if sol.x is None:
+        raise linalg.LinalgError("consistent system without a solution")
+    return linalg.FactorResult(True, offset=sol.x[0], coeffs=sol.x[1:])
 
 
 def _affine_in_family(
@@ -232,7 +245,7 @@ def _affine_in_family(
     A table that does not factor raises NotAffineError(message) with the
     failure certificate.
     """
-    factored = factor_table_through_family(hull.structure, table, hull.family)
+    factored = factor_through_hull(hull, table)
     if not factored.ok:
         raise NotAffineError(message, factored.conflict or factored.residue)
     if factored.offset is None or factored.coeffs is None:
@@ -617,16 +630,16 @@ def keisler_decompose(hull: TypeHull, p: TypeVector) -> BoundaryMeasure:
     report = extreme_points(hull)
     idx = list(report.extreme_indices)
     vectors = [hull.vertices[i].values for i in idx]
-    if not linalg.affinely_independent(vectors):
+    # One column [v | 1] per extreme vertex: they are affinely independent
+    # exactly when no column is free.
+    rows = [[v[c] for v in vectors] for c in range(len(hull.family))]
+    rows.append([ONE] * len(vectors))
+    sol = linalg.gauss_solve(rows, [*p.values, ONE])
+    if sol.free_count:
         raise NonUniqueDecompositionError(
             "extreme vertices are affinely dependent: the family does not "
             "separate, decomposition is not unique"
         )
-    dim = len(hull.family)
-    rows = [[v[c] for v in vectors] for c in range(dim)]
-    rows.append([ONE] * len(vectors))
-    rhs = list(p.values) + [ONE]
-    sol = linalg.gauss_solve(rows, rhs)
     if not sol.consistent:
         raise DecompositionError("point lies outside the affine hull of the extremes")
     if sol.x is None:

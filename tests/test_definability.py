@@ -678,14 +678,14 @@ def test_definable_predicate_residue_when_not_affine(A2):
 
 def test_definable_predicate_rejects_factorisation_without_coefficients(A2, monkeypatch):
     P = predicate_from_formula(A2, parse_formula("mu(x)", A2.signature()), ("x",))
-    real = definability.factor_table_through_family
+    real = definability.factor_through_hull
 
     def no_coeffs(*args):
         res = real(*args)
         res.coeffs = None
         return res
 
-    monkeypatch.setattr(definability, "factor_table_through_family", no_coeffs)
+    monkeypatch.setattr(definability, "factor_through_hull", no_coeffs)
     with pytest.raises(DefinabilityError):
         is_definable_predicate(A2, P, mu_family(A2))
 

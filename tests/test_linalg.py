@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinelogic import linalg
-from affinelogic.linalg import (
-    LinalgError,
-    LinearSolution,
-    affine_factor,
-    affinely_independent,
-    gauss_solve,
-    matrix_rank,
-)
+from affinelogic.linalg import LinalgError, LinearSolution, gauss_solve, matrix_rank
+from affinelogic.model import FiniteStructure, RelationInterp
+from affinelogic.syntax import Apply, Var
+from affinelogic.typespace import FormulaFamily, factor_through_hull, type_hull
 
 
 def test_gauss_solve_unique():
@@ -48,39 +44,86 @@ def test_matrix_rank():
     assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
 
 
-def test_affinely_independent():
-    assert affinely_independent([])
-    assert affinely_independent([[F(7)]])
-    assert affinely_independent([[F(0)], [F(1)]])
+def _affinely_independent(points, rhs):
+    """No point is an affine combination of the others: one column [p | 1]
+    per point, and no free column, whether or not rhs is reachable."""
+    rows = [[p[c] for p in points] for c in range(len(points[0]))]
+    rows.append([F(1)] * len(points))
+    return gauss_solve(rows, rhs).free_count == 0
+
+
+@pytest.mark.parametrize("reachable", [True, False])
+def test_gauss_solve_free_count_decides_affine_independence(reachable):
+    def independent(points):
+        # the first point is reachable; 7 in every coordinate is not, on a line
+        rhs = [*points[0], F(1)] if reachable else [F(7)] * len(points[0]) + [F(1)]
+        return _affinely_independent(points, rhs)
+
+    assert independent([[F(7)]])
+    assert independent([[F(0)], [F(1)]])
     # collinear triple in the plane
-    assert not affinely_independent([[F(0), F(0)], [F(1), F(1)], [F(2), F(2)]])
-    assert affinely_independent([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
+    assert not independent([[F(0), F(0)], [F(1), F(1)], [F(2), F(2)]])
+    assert independent([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
     # more points than dim + 1 can never be affinely independent
-    assert not affinely_independent([[F(0)], [F(1)], [F(2)]])
+    assert not independent([[F(0)], [F(1)], [F(2)]])
 
 
-def test_affine_factor_recovers_plane():
-    pts = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)], [F(2), F(3)]]
+def test_gauss_solve_reports_free_count_when_inconsistent():
+    sol = gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+    assert not sol.consistent and sol.free_count == 1
+    sol = gauss_solve([[F(1)], [F(1)]], [F(0), F(1)])
+    assert not sol.consistent and sol.free_count == 0
+
+
+# ---------------------------------------------------------------------------
+# affine factoring through a type hull
+
+
+def _hull_over(points):
+    """The hull of a discrete structure whose element i has the family
+    vector points[i]: one unary relation R<c> per coordinate, family R<c>(x)."""
+    m, k = len(points), len(points[0])
+    M = FiniteStructure(
+        tuple(f"e{i}" for i in range(m)),
+        tuple(tuple(F(int(i != j)) for j in range(m)) for i in range(m)),
+        relations={f"R{c}": RelationInterp(1, F(1), {(i,): F(p[c]) for i, p in enumerate(points)})
+                   for c in range(k)},
+    )
+    family = FormulaFamily(("x",), tuple(Apply(f"R{c}", (Var("x"),)) for c in range(k)))
+    return type_hull(M, 1, family)
+
+
+def _table(values):
+    return {(i,): F(v) for i, v in enumerate(values)}
+
+
+def test_factor_through_hull_recovers_plane():
+    pts = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)], [F(1, 2), F(3, 4)]]
     vals = [F(1) + 2 * p[0] - F(1, 2) * p[1] for p in pts]
-    res = affine_factor(list("abcd"), pts, vals)
+    res = factor_through_hull(_hull_over(pts), _table(vals))
     assert res.ok
     assert res.offset == 1
     assert res.coeffs == (F(2), F(-1, 2))
 
 
-def test_affine_factor_conflict_names_the_pair():
-    res = affine_factor(
-        ["p", "q"], [[F(1), F(2)], [F(1), F(2)]], [F(0), F(1)]
-    )
+def test_factor_through_hull_conflict_names_the_pair():
+    pts = [[F(1, 2), F(1)], [F(1, 2), F(1)]]
+    res = factor_through_hull(_hull_over(pts), _table([0, 1]))
     assert not res.ok
-    assert (res.conflict.key_a, res.conflict.key_b) == ("p", "q")
+    assert (res.conflict.key_a, res.conflict.key_b) == ((0,), (1,))
+    # two clashing vertices: the first clashing tuple in product order, and
+    # the first realization of its vertex
+    pts = [[F(0)], [F(1)], [F(0)], [F(1)], [F(0)]]
+    res = factor_through_hull(_hull_over(pts), _table([0, 5, 0, 6, 1]))
+    assert (res.conflict.key_a, res.conflict.key_b) == ((1,), (3,))
 
 
-def test_affine_factor_residue_certifies_nonaffineness():
-    pts = [[F(0)], [F(1)], [F(2)]]
+def test_factor_through_hull_residue_certifies_nonaffineness():
+    pts = [[F(0)], [F(1, 2)], [F(1)]]
     vals = [F(0), F(0), F(1)]  # not affine in one variable
-    res = affine_factor([0, 1, 2], pts, vals)
+    res = factor_through_hull(_hull_over(pts), _table(vals))
     assert not res.ok and res.residue is not None
+    assert res.residue.keys == ((0,), (1,), (2,))
     comb = res.residue.combination
     rows = [[F(1)] + p for p in pts]
     for j in range(2):
@@ -89,10 +132,11 @@ def test_affine_factor_residue_certifies_nonaffineness():
 
 
 @pytest.mark.parametrize("consistent", [True, False])
-def test_affine_factor_rejects_a_solution_without_its_certificate(monkeypatch, consistent):
+def test_factor_through_hull_rejects_a_solution_without_its_certificate(monkeypatch, consistent):
+    hull = _hull_over([[F(0)], [F(1)]])
     monkeypatch.setattr(linalg, "gauss_solve", lambda rows, rhs: LinearSolution(consistent))
     with pytest.raises(LinalgError):
-        affine_factor([0, 1], [[F(0)], [F(1)]], [F(0), F(1)])
+        factor_through_hull(hull, _table([0, 1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,21 +160,23 @@ def test_gauss_solve_random_roundtrip(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_affine_factor_random_planted(seed):
+def test_factor_through_hull_random_planted(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     c0 = F(rng.randint(-2, 2), rng.randint(1, 3))
     coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-    pts = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+    pts = [[F(rng.randint(0, 4), 4) for _ in range(n)] for _ in range(rng.randint(1, 6))]
     vals = [c0 + sum(c * x for c, x in zip(coeffs, p)) for p in pts]
-    res = affine_factor(range(len(pts)), pts, vals)
+    res = factor_through_hull(_hull_over(pts), _table(vals))
     assert res.ok
     for p, v in zip(pts, vals):
         assert res.offset + sum(c * x for c, x in zip(res.coeffs, p)) == v
 
 
 def _reference_gauss_solve(rows, rhs):
-    """The Fraction Gauss-Jordan elimination the integer-row kernel replaced."""
+    """The Fraction Gauss-Jordan elimination the integer-row kernel replaced,
+    reporting n - rank as the free count whether or not the system is
+    consistent."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [[F(v) for v in rows[i]] + [F(rhs[i])] + [F(int(k == i)) for k in range(m)]
@@ -154,7 +200,7 @@ def _reference_gauss_solve(rows, rhs):
             break
     for r in range(row, m):
         if a[r][n] != 0:
-            return False, None, 0, tuple(a[r][n + 1:])
+            return False, None, n - len(pivots), tuple(a[r][n + 1:])
     x = [F(0)] * n
     for r, c in pivots:
         x[c] = a[r][n]

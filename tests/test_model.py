@@ -173,6 +173,36 @@ def test_constants_out_of_range_is_shape_error():
     assert validate_structure(M).kind == "shape"
 
 
+@pytest.mark.parametrize("kind", ["function", "relation"])
+@pytest.mark.parametrize("arity", [0, -1])
+def test_arity_below_one_is_shape_error_naming_the_symbol(kind, arity):
+    # signature() refuses these arities, so validation must too; arity -1
+    # used to ask for a table covering 0.5 tuples
+    table = {(): 0} if arity == 0 else {}
+    if kind == "function":
+        M = replace(two_point(), functions={"f": FunctionInterp(arity, ONE, table)})
+    else:
+        M = replace(two_point(), relations={"f": RelationInterp(arity, ONE, table)})
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind) == (False, "shape")
+    assert rep.message == f"{kind} 'f' has arity {arity}, must be at least 1"
+
+
+def test_nullary_function_term_is_an_eval_error():
+    M = replace(two_point(), functions={"f": FunctionInterp(0, ONE, {(): 0})})
+    with pytest.raises(EvalError, match="'f' has arity 0"):
+        eval_formula(M, Apply(METRIC, (Func("f", ()), Var("x"))), {"x": 1})
+
+
+def test_non_square_metric_is_refused_by_validation_and_evaluation():
+    # the second row is one short: d(b, b) used to be read as 1
+    M = FiniteStructure(("a", "b"), ((ZERO, ONE, ONE), (ONE, ZERO)))
+    rep = validate_structure(M)
+    assert (rep.ok, rep.kind, rep.message) == (False, "shape", "metric table must be m x m")
+    with pytest.raises(StructureError, match="metric table must be m x m"):
+        eval_table(M, Apply(METRIC, (Var("x"), Var("y"))), ("x", "y"))
+
+
 def test_validate_rejects_non_neighbour_first_violation():
     # lam = 1/2: the first violating pair in lexicographic order is the
     # diagonal ((0, 0), (1, 1)), which differs in both coordinates; the

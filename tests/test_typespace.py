@@ -5,7 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affinelogic.linalg import gauss_solve
+from affinelogic.linalg import (
+    FactorConflict,
+    FactorResidue,
+    FactorResult,
+    LinalgError,
+    gauss_solve,
+    matrix_rank,
+)
 from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
 from affinelogic.model import FiniteStructure, RelationInterp, eval_table
 from affinelogic.pra import build_algebra
@@ -31,10 +38,12 @@ from affinelogic.typespace import (
     FaceViolation,
     FormulaFamily,
     NonExtremeVertex,
+    NonUniqueDecompositionError,
     NotAffineError,
     TypeHull,
     TypeVector,
     TypespaceError,
+    _Internal,
     _lp_status,
     _score,
     affine_satisfiable,
@@ -43,6 +52,8 @@ from affinelogic.typespace import (
     exposed_face,
     extreme_points,
     face_check_functionals,
+    factor_through_hull,
+    family_tables,
     is_face,
     keisler_decompose,
     mixture_type,
@@ -671,3 +682,223 @@ def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
         typespace.affine_satisfiable_tables([(0,)], [])
     with pytest.raises(TypespaceError, match="unbounded"):
         type_distance(p, q)
+
+
+# ---------------------------------------------------------------------------
+# affine factoring through the hull, against the family path it replaced
+
+
+def _ref_affine_factor(keys, points, values):
+    """linalg.affine_factor as it was before tables were factored through
+    the type hull, kept verbatim (renamed)."""
+    seen: dict[tuple[F, ...], int] = {}
+    reps: list[int] = []
+    for i, p in enumerate(points):
+        key = tuple(p)
+        j = seen.get(key)
+        if j is None:
+            seen[key] = i
+            reps.append(i)
+        elif values[i] != values[j]:
+            return FactorResult(False, conflict=FactorConflict(keys[j], keys[i]))
+    rows = [[ONE] + list(points[i]) for i in reps]
+    rhs = [values[i] for i in reps]
+    sol = gauss_solve(rows, rhs)
+    if not sol.consistent:
+        if sol.combination is None:
+            raise LinalgError("inconsistent system without a row combination")
+        return FactorResult(
+            False,
+            residue=FactorResidue(tuple(keys[i] for i in reps), sol.combination),
+        )
+    if sol.x is None:
+        raise LinalgError("consistent system without a solution")
+    return FactorResult(True, offset=sol.x[0], coeffs=tuple(sol.x[1:]))
+
+
+def _ref_factor_table_through_family(M, table, family):
+    """typespace.factor_table_through_family as it was, kept verbatim
+    (renamed): every family formula evaluated again, the tuples grouped
+    again."""
+    tables = family_tables(M, family)
+    keys = sorted(table)
+    points = [tuple(tbl[a] for tbl in tables) for a in keys]
+    values = [table[a] for a in keys]
+    return _ref_affine_factor(keys, points, values)
+
+
+_TABLE_VALUES = st.sampled_from([F(-1), ZERO, F(1, 3), F(1, 2), ONE, F(2)])
+
+
+@st.composite
+def _factor_cases(draw):
+    """A random structure on 1-4 points, a family of 1-3 random formulas in
+    1-2 variables, and a table over its tuples: affine in the family with
+    drawn coefficients, the same with one cell moved, or drawn cell by cell."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    M = random_structure(rng, max_size=4)
+    variables = ("x", "y")[:draw(st.integers(1, 2))]
+    sig = M.signature()
+    k = draw(st.integers(1, 3))
+    family = FormulaFamily(variables, tuple(random_formula(rng, sig, variables, depth=3) for _ in range(k)))
+    tuples = list(itertools.product(range(M.size), repeat=len(variables)))
+    kind = draw(st.sampled_from(["affine", "moved", "drawn"]))
+    if kind == "drawn":
+        return M, family, {a: draw(_TABLE_VALUES) for a in tuples}
+    c0, cs = draw(_TABLE_VALUES), [draw(_TABLE_VALUES) for _ in range(k)]
+    tables = family_tables(M, family)
+    table = {a: c0 + sum((c * t[a] for c, t in zip(cs, tables)), start=ZERO) for a in tuples}
+    if kind == "moved":
+        table[draw(st.sampled_from(tuples))] += draw(st.sampled_from([F(1, 2), ONE]))
+    return M, family, table
+
+
+# the two atoms share mu = 1/2 but the table splits them; mu^2 is not affine in mu
+_FACTOR_CONFLICT = (_ALGEBRA, _MU, {(x,): ONE if x == 1 else ZERO for x in range(4)})
+_FACTOR_RESIDUE = (_ALGEBRA, _MU, {a: v ** 2 for a, v in eval_table(_ALGEBRA, _MU.formulas[0], ("x",)).items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_cases())
+@example(_FACTOR_CONFLICT)
+@example(_FACTOR_RESIDUE)
+def test_factor_through_hull_matches_the_family_path(case):
+    M, family, table = case
+    hull = type_hull(M, family.arity, family)
+    assert factor_through_hull(hull, table) == _ref_factor_table_through_family(M, table, family)
+
+
+def test_factor_examples_cover_a_conflict_and_a_residue():
+    M, family, table = _FACTOR_CONFLICT
+    res = factor_through_hull(type_hull(M, 1, family), table)
+    assert res.conflict == FactorConflict((1,), (2,))
+    M, family, table = _FACTOR_RESIDUE
+    res = factor_through_hull(type_hull(M, 1, family), table)
+    assert res.residue is not None and res.residue.keys == ((0,), (1,), (3,))
+
+
+def test_is_face_and_exposed_face_evaluate_no_family_formula(monkeypatch, algebra_hull):
+    from affinelogic import typespace
+
+    calls = []
+    real = typespace.eval_table
+
+    def counting(M, phi, variables):
+        calls.append(phi)
+        return real(M, phi, variables)
+
+    monkeypatch.setattr(typespace, "eval_table", counting)
+    sig = algebra_hull.structure.signature()
+    conditions = [parse_condition(text, sig) for text in
+                  ("mu(x) <= 1", "0 * 1 <= mu(x)", "1/2 * mu(x) <= 1/2 * 1")]
+    assert is_face(algebra_hull, conditions)
+    # each condition's two sides, once; the family values come from the hull
+    assert len(calls) == 2 * len(conditions)
+    assert not any(phi is f for phi in calls for f in algebra_hull.family.formulas)
+    table = {(x,): F(x) for x in range(4)}
+    with pytest.raises(NotAffineError):
+        exposed_face(algebra_hull, table)
+    assert len(calls) == 2 * len(conditions)
+
+
+# ---------------------------------------------------------------------------
+# Keisler decomposition by one elimination, against the rank test it replaced
+
+
+def _ref_affinely_independent(points):
+    """linalg.affinely_independent as it was, kept verbatim (renamed)."""
+    if not points:
+        return True
+    cols = [list(p) + [ONE] for p in points]
+    return matrix_rank(cols) == len(points)
+
+
+def _ref_keisler_decompose(hull, p):
+    """keisler_decompose as it was before one gauss_solve answered both the
+    rank and the solve, kept verbatim (renamed)."""
+    if not hull.first_order:
+        raise DecompositionError(
+            "decomposition requires a first-order structure "
+            "(metric and relation values all 0 or 1)"
+        )
+    if p.family != hull.family:
+        raise DecompositionError("point and hull use different families")
+    report = extreme_points(hull)
+    idx = list(report.extreme_indices)
+    vectors = [hull.vertices[i].values for i in idx]
+    if not _ref_affinely_independent(vectors):
+        raise NonUniqueDecompositionError(
+            "extreme vertices are affinely dependent: the family does not "
+            "separate, decomposition is not unique"
+        )
+    dim = len(hull.family)
+    rows = [[v[c] for v in vectors] for c in range(dim)]
+    rows.append([ONE] * len(vectors))
+    rhs = list(p.values) + [ONE]
+    sol = gauss_solve(rows, rhs)
+    if not sol.consistent:
+        raise DecompositionError("point lies outside the affine hull of the extremes")
+    if sol.x is None:
+        raise _Internal("consistent system without a solution")
+    if any(w < 0 for w in sol.x):
+        raise DecompositionError("point lies outside the hull of the extremes")
+    return BoundaryMeasure({i: w for i, w in zip(idx, sol.x) if w != 0})
+
+
+def _decomposition(decompose, hull, p):
+    try:
+        return decompose(hull, p)
+    except TypespaceError as exc:
+        return type(exc), str(exc)
+
+
+def _keisler_case(patterns, values):
+    M = fo_structure(patterns)
+    family = FormulaFamily(
+        ("x",), tuple(parse_formula(f"R{c}(x)", M.signature()) for c in range(len(patterns[0])))
+    )
+    return type_hull(M, 1, family), TypeVector(family, tuple(values))
+
+
+@st.composite
+def _keisler_cases(draw):
+    """A discrete structure on 1-5 points with 1-3 unary 0/1 relations, the
+    hull of their family, and a point: a mixture of the vertices, an affine
+    combination of them with weights from -2 to 3, or a drawn vector."""
+    k = draw(st.integers(1, 3))
+    patterns = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=1, max_size=5))
+    hull, _ = _keisler_case(patterns, [ZERO] * k)
+    kind = draw(st.sampled_from(["mixture", "affine", "drawn"]))
+    if kind == "drawn":
+        return _keisler_case(patterns, [draw(_SMALL) for _ in range(k)])
+    ws = [F(draw(st.integers(0 if kind == "mixture" else -2, 3))) for _ in hull.vertices]
+    if sum(ws) == 0:
+        ws[0] += 1
+    values = [sum((w * v.values[c] for w, v in zip(ws, hull.vertices)), start=ZERO) / sum(ws)
+              for c in range(k)]
+    return _keisler_case(patterns, values)
+
+
+_KEISLER_UNIQUE = _keisler_case([(0, 0), (1, 0), (0, 1)], [F(1, 4), F(1, 4)])
+_KEISLER_DEPENDENT = _keisler_case([(0, 0), (1, 0), (0, 1), (1, 1)], [ZERO, ZERO])
+_KEISLER_OUTSIDE = _keisler_case([(0, 0), (1, 0), (0, 1)], [F(2), ZERO])
+_KEISLER_OFF_AFFINE = _keisler_case([(0, 0), (1, 0)], [ZERO, ONE])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keisler_cases())
+@example(_KEISLER_UNIQUE)
+@example(_KEISLER_DEPENDENT)
+@example(_KEISLER_OUTSIDE)
+@example(_KEISLER_OFF_AFFINE)
+def test_keisler_decompose_matches_the_rank_test(case):
+    hull, p = case
+    assert _decomposition(keisler_decompose, hull, p) == _decomposition(_ref_keisler_decompose, hull, p)
+
+
+def test_keisler_examples_cover_every_branch():
+    outcomes = [_decomposition(keisler_decompose, *case) for case in
+                (_KEISLER_UNIQUE, _KEISLER_DEPENDENT, _KEISLER_OUTSIDE, _KEISLER_OFF_AFFINE)]
+    assert outcomes[0].weights == {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
+    assert [o[0] for o in outcomes[1:]] == [NonUniqueDecompositionError, DecompositionError, DecompositionError]
+    assert "outside the hull" in outcomes[2][1] and "affine hull" in outcomes[3][1]
