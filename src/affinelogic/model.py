@@ -635,6 +635,28 @@ def sorted_free_vars(phi: Formula) -> tuple[str, ...]:
     return _plan(phi)[0]
 
 
+def int_table(
+    M: FiniteStructure, phi: Formula, variables: Sequence[str]
+) -> tuple[list[int], int]:
+    """phi at every assignment of `variables`, in itertools.product order,
+    as int numerators over one positive denominator (see eval_table)."""
+    variables = tuple(variables)
+    vs, run = _plan(phi)
+    missing = set(vs) - set(variables)
+    if missing:
+        raise EvalError(f"free variables not covered: {sorted(missing)}")
+    m = M.size
+    nums, den = run(M, {v: range(m) for v in variables})
+    if vs == variables:
+        return nums, den
+    stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
+    idx = [0]
+    for j, v in enumerate(variables):
+        s = stride.get(v, 0) if variables.index(v) == j else 0
+        idx = [i + k * s for i in idx for k in range(m)]
+    return [nums[i] for i in idx], den
+
+
 def eval_table(
     M: FiniteStructure, phi: Formula, variables: Sequence[str]
 ) -> dict[tuple[int, ...], Fraction]:
@@ -644,20 +666,9 @@ def eval_table(
     its first occurrence.
     """
     variables = tuple(variables)
-    vs, run = _plan(phi)
-    missing = set(vs) - set(variables)
-    if missing:
-        raise EvalError(f"free variables not covered: {sorted(missing)}")
-    m = M.size
-    nums, den = run(M, {v: range(m) for v in variables})
-    cells = fractions_over(nums, den)
-    stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
-    idx = [0]
-    for j, v in enumerate(variables):
-        s = stride.get(v, 0) if variables.index(v) == j else 0
-        idx = [i + k * s for i in idx for k in range(m)]
-    keys = itertools.product(range(m), repeat=len(variables))
-    return dict(zip(keys, [cells[i] for i in idx]))
+    nums, den = int_table(M, phi, variables)
+    keys = itertools.product(range(M.size), repeat=len(variables))
+    return dict(zip(keys, fractions_over(nums, den)))
 
 
 # ---------------------------------------------------------------------------

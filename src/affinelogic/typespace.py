@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int
-from .model import FiniteStructure, eval_table, row_major
+from .model import FiniteStructure, eval_table, int_table, row_major
 from .syntax import Condition, Formula, free_vars
 
 ZERO = Fraction(0)
@@ -185,18 +185,21 @@ def type_hull(
         raise TypespaceError("n must match the family's variable count")
     if M.size ** n > cap:
         raise TypespaceError(f"tuple space size {M.size ** n} exceeds cap {cap}")
-    # every table is keyed in product order, so its values zip into the
-    # vectors; the tuples are grouped by vector in first-occurrence order
-    tables = family_tables(M, family)
-    vectors = zip(*[tbl.values() for tbl in tables]) if tables else itertools.repeat(())
-    groups: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
-    for a, values in zip(itertools.product(range(M.size), repeat=n), vectors):
-        groups.setdefault(values, []).append(a)
+    # The tuples are grouped, in first-occurrence order, by their vectors of
+    # int numerators (each formula's over its one denominator), so a Fraction
+    # is built only for each vertex value.
+    tables = [int_table(M, phi, family.variables) for phi in family.formulas]
+    dens = [den for _, den in tables]
+    vectors = zip(*[nums for nums, _ in tables]) if tables else itertools.repeat(())
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for a, key in zip(itertools.product(range(M.size), repeat=n), vectors):
+        groups.setdefault(key, []).append(a)
     return TypeHull(
         structure=M,
         family=family,
-        vertices=tuple(TypeVector(family, values, witness={reals[0]: ONE}, structure=M)
-                       for values, reals in groups.items()),
+        vertices=tuple(TypeVector(family, tuple(map(Fraction, key, dens)),
+                                  witness={reals[0]: ONE}, structure=M)
+                       for key, reals in groups.items()),
         realizations=tuple(map(tuple, groups.values())),
         first_order=M.is_first_order(),
     )

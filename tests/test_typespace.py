@@ -766,6 +766,13 @@ def test_factor_through_hull_matches_the_family_path(case):
     M, family, table = case
     hull = type_hull(M, family.arity, family)
     assert factor_through_hull(hull, table) == _ref_factor_table_through_family(M, table, family)
+    # the hull groups the tuples by their Fraction vectors, in first-occurrence order
+    tables = family_tables(M, family)
+    vectors = {a: tuple(t[a] for t in tables) for a in table}
+    assert [v.values for v in hull.vertices] == list(dict.fromkeys(vectors.values()))
+    assert [[vectors[a] for a in reals] for reals in hull.realizations] == [
+        [v.values] * len(reals) for v, reals in zip(hull.vertices, hull.realizations)]
+    assert sorted(a for reals in hull.realizations for a in reals) == list(table)
 
 
 def test_factor_examples_cover_a_conflict_and_a_residue():
