@@ -381,8 +381,7 @@ def is_definable_predicate(
     validate_predicate(M, P)
     if P.arity != family.arity:
         raise DefinabilityError("predicate arity must match the family")
-    n = family.arity
-    res = factor_through_hull(type_hull(M, n, family, cap=M.size ** n), P.values)
+    res = factor_through_hull(type_hull(M, P.arity, family, cap=M.size ** P.arity), P.values)
     if res.ok:
         if res.offset is None or res.coeffs is None:
             raise _Internal("affine factorisation reported no coefficients")

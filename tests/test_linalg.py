@@ -44,20 +44,25 @@ def test_matrix_rank():
     assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
 
 
-def _affinely_independent(points, rhs):
+def _affinely_independent(points, consistent):
     """No point is an affine combination of the others: one column [p | 1]
-    per point, and no free column, whether or not rhs is reachable."""
+    per point, and no free column.  A last row 0 = 1 makes the system
+    inconsistent without changing its rank."""
     rows = [[p[c] for p in points] for c in range(len(points[0]))]
     rows.append([F(1)] * len(points))
-    return gauss_solve(rows, rhs).free_count == 0
+    rhs = [F(0)] * len(rows)
+    if not consistent:
+        rows.append([F(0)] * len(points))
+        rhs.append(F(1))
+    sol = gauss_solve(rows, rhs)
+    assert sol.consistent == consistent
+    return sol.free_count == 0
 
 
-@pytest.mark.parametrize("reachable", [True, False])
-def test_gauss_solve_free_count_decides_affine_independence(reachable):
+@pytest.mark.parametrize("consistent", [True, False])
+def test_gauss_solve_free_count_decides_affine_independence(consistent):
     def independent(points):
-        # the first point is reachable; 7 in every coordinate is not, on a line
-        rhs = [*points[0], F(1)] if reachable else [F(7)] * len(points[0]) + [F(1)]
-        return _affinely_independent(points, rhs)
+        return _affinely_independent(points, consistent)
 
     assert independent([[F(7)]])
     assert independent([[F(0)], [F(1)]])
@@ -66,13 +71,6 @@ def test_gauss_solve_free_count_decides_affine_independence(reachable):
     assert independent([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
     # more points than dim + 1 can never be affinely independent
     assert not independent([[F(0)], [F(1)], [F(2)]])
-
-
-def test_gauss_solve_reports_free_count_when_inconsistent():
-    sol = gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
-    assert not sol.consistent and sol.free_count == 1
-    sol = gauss_solve([[F(1)], [F(1)]], [F(0), F(1)])
-    assert not sol.consistent and sol.free_count == 0
 
 
 # ---------------------------------------------------------------------------

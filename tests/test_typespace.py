@@ -888,6 +888,8 @@ def _keisler_cases(draw):
 
 _KEISLER_UNIQUE = _keisler_case([(0, 0), (1, 0), (0, 1)], [F(1, 4), F(1, 4)])
 _KEISLER_DEPENDENT = _keisler_case([(0, 0), (1, 0), (0, 1), (1, 1)], [ZERO, ZERO])
+# dependent extremes and a point off their plane: dependence is reported first
+_KEISLER_DEPENDENT_OFF = _keisler_case([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], [ZERO, ZERO, ONE])
 _KEISLER_OUTSIDE = _keisler_case([(0, 0), (1, 0), (0, 1)], [F(2), ZERO])
 _KEISLER_OFF_AFFINE = _keisler_case([(0, 0), (1, 0)], [ZERO, ONE])
 
@@ -896,6 +898,7 @@ _KEISLER_OFF_AFFINE = _keisler_case([(0, 0), (1, 0)], [ZERO, ONE])
 @given(_keisler_cases())
 @example(_KEISLER_UNIQUE)
 @example(_KEISLER_DEPENDENT)
+@example(_KEISLER_DEPENDENT_OFF)
 @example(_KEISLER_OUTSIDE)
 @example(_KEISLER_OFF_AFFINE)
 def test_keisler_decompose_matches_the_rank_test(case):
@@ -905,7 +908,8 @@ def test_keisler_decompose_matches_the_rank_test(case):
 
 def test_keisler_examples_cover_every_branch():
     outcomes = [_decomposition(keisler_decompose, *case) for case in
-                (_KEISLER_UNIQUE, _KEISLER_DEPENDENT, _KEISLER_OUTSIDE, _KEISLER_OFF_AFFINE)]
+                (_KEISLER_UNIQUE, _KEISLER_DEPENDENT, _KEISLER_DEPENDENT_OFF,
+                 _KEISLER_OUTSIDE, _KEISLER_OFF_AFFINE)]
     assert outcomes[0].weights == {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
-    assert [o[0] for o in outcomes[1:]] == [NonUniqueDecompositionError, DecompositionError, DecompositionError]
-    assert "outside the hull" in outcomes[2][1] and "affine hull" in outcomes[3][1]
+    assert [o[0] for o in outcomes[1:]] == [NonUniqueDecompositionError] * 2 + [DecompositionError] * 2
+    assert "outside the hull" in outcomes[3][1] and "affine hull" in outcomes[4][1]
