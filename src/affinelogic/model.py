@@ -647,7 +647,7 @@ def int_table(
         raise EvalError(f"free variables not covered: {sorted(missing)}")
     m = M.size
     nums, den = run(M, {v: range(m) for v in variables})
-    if vs == variables:
+    if vs == variables:  # already row-major over variables: no re-index
         return nums, den
     stride = {v: m ** (len(vs) - 1 - i) for i, v in enumerate(vs)}
     idx = [0]
