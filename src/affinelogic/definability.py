@@ -61,7 +61,8 @@ def validate_predicate(M: FiniteStructure, P: PredicateTable) -> list[Fraction]:
 
 
 def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
-    if row_major(f.table, M.size, f.arity_in) is None:
+    outs = row_major(f.table, M.size, f.arity_in)
+    if outs is None:
         raise DefinabilityError("function table must cover every input tuple")
     for args, out in f.table.items():
         if len(out) != f.arity_out:
@@ -71,14 +72,13 @@ def validate_function_table(M: FiniteStructure, f: FunctionTable) -> None:
     # All pairs: M is not validated here, and reducing to neighbour pairs
     # for tuple-valued outputs needs the triangle inequality of its metric.
     # Tuple distances are int sums over the metric's common denominator.
-    # The witness is the first violating pair in this set's order.
+    # The witness is the first violating pair in product order.
     d, _ = M.int_metric
     lam_num, lam_den = f.lam.as_integer_ratio()
-    inputs = set(itertools.product(range(M.size), repeat=f.arity_in))
-    for a in inputs:
-        fa = f.table[a]
-        for b in inputs:
-            out = sum(d[x][y] for x, y in zip(fa, f.table[b]))
+    graph = list(zip(_tuples(M, f.arity_in), outs))
+    for a, fa in graph:
+        for b, fb in graph:
+            out = sum(d[x][y] for x, y in zip(fa, fb))
             if out * lam_den > lam_num * sum(d[x][y] for x, y in zip(a, b)):
                 raise DefinabilityError(
                     f"function table violates its declared constant at {a}, {b}"

@@ -29,22 +29,20 @@ from .errors import AffineLogicError
 from .linalg import fractions_over, int_row
 from .syntax import (
     METRIC,
-    Apply,
     Const,
     Formula,
     Inf,
     One,
-    Scale,
     Signature,
-    Sum,
     Sup,
     SymbolInfo,
     Term,
     Var,
+    summands,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+EMPTY_STRUCTURE = "structure must have at least one element"
 
 
 class StructureError(AffineLogicError, ValueError):
@@ -122,10 +120,12 @@ class FiniteStructure:
         d(i, j) = rows[i][j] / D.
 
         Comparisons of distances, and of anything else scaled to a multiple
-        of D, are then comparisons of int numerators.  A metric that is not
-        m x m is a StructureError.
+        of D, are then comparisons of int numerators.  A structure with no
+        elements, and a metric that is not m x m, are StructureErrors.
         """
         m = self.size
+        if m == 0:
+            raise StructureError(EMPTY_STRUCTURE)
         if len(self.metric) != m or any(len(row) != m for row in self.metric):
             raise StructureError("metric table must be m x m")
         flat, D = int_row(_exact([x for row in self.metric for x in row], f"metric {METRIC!r}"))
@@ -166,11 +166,11 @@ class FiniteStructure:
         return {name: fn.table for name, fn in self.functions.items()}
 
     def is_first_order(self) -> bool:
-        """True when the metric and every relation take values in {0, 1}."""
-        values = itertools.chain(
-            itertools.chain.from_iterable(self.metric),
-            *(rel.table.values() for rel in self.relations.values()),
-        )
+        """True when the metric and every relation take values in {0, 1}.  A
+        value that is not an exact rational is a StructureError (see _exact)."""
+        values = _exact(list(itertools.chain.from_iterable(self.metric)), f"metric {METRIC!r}")
+        for name, rel in self.relations.items():
+            values += _exact(list(rel.table.values()), f"relation {name!r}")
         return all(v.denominator == 1 and 0 <= v.numerator <= 1 for v in values)
 
 
@@ -338,7 +338,7 @@ def validate_structure(M: FiniteStructure) -> ValidationReport:
     """
     m = M.size
     if m == 0:
-        return _fail("shape", "structure must have at least one element")
+        return _fail("shape", EMPTY_STRUCTURE)
     for name, idx in M.constants.items():
         if not isinstance(idx, int):
             return _fail("shape", f"constant {name!r} is not an element index", (idx,))
@@ -467,19 +467,13 @@ def _plan(phi: Formula):
 
 def _compile(phi: Formula, x: str | None = None, pick=None):
     """Plan of phi, or with x of inf/sup x. phi (pick is min or max).  The
-    Sum/Scale chain is unrolled into leaves with int coefficients, run left
-    to right, so the leftmost leaf's error comes first.  inf/sup x reduces
-    only the leaves that mention x and adds the others after, unspread
-    along x: inf x. (phi + c * psi) = (inf x. phi) + c * psi, x not in psi."""
-    leaves, stack = [], [(ONE, phi)]  # leaves: (index, c_num, c_den, vs, run)
-    while stack:
-        c, node = stack.pop()
-        if isinstance(node, Sum):
-            stack += ((c, node.right), (c, node.left))
-        elif isinstance(node, Scale):
-            stack.append((c * node.coeff, node.body))
-        else:
-            leaves.append((len(leaves), c.numerator, c.denominator, *_compile_leaf(node)))
+    summands of phi become leaves with int coefficients, run left to right,
+    so the leftmost leaf's error comes first.  inf/sup x reduces only the
+    leaves that mention x and adds the others after, unspread along x:
+    inf x. (phi + c * psi) = (inf x. phi) + c * psi, x not in psi."""
+    leaves = []  # (index, c_num, c_den, vs, run)
+    for c, node in summands(phi):
+        leaves.append((len(leaves), c.numerator, c.denominator, *_compile_leaf(node)))
     if x is None and len(leaves) == 1 and leaves[0][1:3] == (1, 1):
         return leaves[0][3:]  # a lone leaf is its own plan
     bound = [leaf[:4] for leaf in leaves if x in leaf[3]]
@@ -537,8 +531,6 @@ def _compile_leaf(node: Formula):
         return (), lambda M, dom: ([1], 1)
     if isinstance(node, (Inf, Sup)):
         return _compile(node.body, node.var, min if isinstance(node, Inf) else max)
-    if not isinstance(node, Apply):
-        raise TypeError(f"not a formula: {node!r}")
     symbol, n = node.symbol, len(node.args)
     vs, cols = _joined(node.args)
 

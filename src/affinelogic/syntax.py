@@ -7,22 +7,26 @@ makes every formula an affine functional of the model's relation tables.
 
 The module owns the term/formula AST, the concrete grammar (parser and
 renderer), Lipschitz certificates, and affine combinations of conditions.
-The parser reads syntax only; check_formula holds every signature rule
-(declared symbols, arities, variable names), and parse_formula ends by
-calling it.  Only syntax errors carry a position in the text.
+Every formula is a sum of c * leaf (One, Apply, Inf or Sup); free_vars,
+check_formula, the certificates and model's compiler walk that Sum/Scale
+spine only through summands.  The parser reads syntax only; check_formula
+holds every signature rule (declared symbols, arities, variable names),
+and parse_formula ends by calling it.  Only syntax errors carry a position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AffineLogicError
 
 METRIC = "d"
 QUANTIFIER_KEYWORDS = ("inf", "sup")
 RESERVED = frozenset(QUANTIFIER_KEYWORDS) | {METRIC}
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class FormulaError(AffineLogicError, ValueError):
@@ -139,26 +143,36 @@ def term_vars(term: Term) -> frozenset[str]:
     return out
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
-    """Free variables of a formula (quantifiers bind their variable).
-
-    Sum and Scale nodes are walked with a stack, so a long sum costs no
-    recursion depth."""
-    out: set[str] = set()
-    stack = [phi]
+def summands(phi: Formula) -> Iterator[tuple[Fraction, Formula]]:
+    """The leaves of phi's Sum/Scale spine, left to right, each a One,
+    Apply, Inf or Sup node with the product c of the coefficients above it
+    (phi is the sum of c * leaf).  Right children wait on a stack, so a long
+    sum costs no recursion depth.  A node that is not a formula is a TypeError."""
+    stack = [(ONE, phi)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack += (node.left, node.right)
-        elif isinstance(node, Scale):
-            stack.append(node.body)
-        elif isinstance(node, Apply):
+        c, node = stack.pop()
+        while True:
+            if isinstance(node, Sum):
+                stack.append((c, node.right))
+                node = node.left
+            elif isinstance(node, Scale):
+                c, node = (node.coeff if c is ONE else c * node.coeff), node.body
+            else:
+                break
+        if not isinstance(node, (Apply, One, Inf, Sup)):
+            raise TypeError(f"not a formula: {node!r}")
+        yield c, node
+
+
+def free_vars(phi: Formula) -> frozenset[str]:
+    """Free variables of a formula (quantifiers bind their variable)."""
+    out: set[str] = set()
+    for _, node in summands(phi):
+        if isinstance(node, Apply):
             for t in node.args:
                 out |= term_vars(t)
-        elif isinstance(node, (Inf, Sup)):
-            out |= free_vars(node.body) - {node.var}
         elif not isinstance(node, One):
-            raise TypeError(f"not a formula: {node!r}")
+            out |= free_vars(node.body) - {node.var}
     return frozenset(out)
 
 
@@ -217,8 +231,8 @@ def check_formula(phi: Formula, sig: Signature) -> None:
     takes 2), and no variable is named like a reserved word or a declared
     symbol.  The errors carry no position.
 
-    Nodes are visited in order, left before right, with a stack, so a
-    long sum costs no recursion depth."""
+    Nodes are visited in order, left before right (see summands), and a
+    quantifier's body before the nodes to its right."""
     taken = RESERVED | sig.constants | sig.functions.keys() | sig.relations.keys()
 
     def check_term(t: Term) -> None:
@@ -240,36 +254,31 @@ def check_formula(phi: Formula, sig: Signature) -> None:
         for a in t.args:
             check_term(a)
 
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack += (node.right, node.left)
-        elif isinstance(node, Scale):
-            stack.append(node.body)
-        elif isinstance(node, Apply):
-            if node.symbol == METRIC:
-                if len(node.args) != 2:
-                    raise ArityMismatchError("the metric 'd' takes exactly 2 arguments")
-            else:
-                info = sig.relations.get(node.symbol)
-                if info is None:
-                    raise UnknownSymbolError(f"unknown relation symbol {node.symbol!r}")
-                if len(node.args) != info.arity:
-                    raise ArityMismatchError(
-                        f"relation {node.symbol!r} expects {info.arity} arguments,"
-                        f" got {len(node.args)}"
+    def check(phi: Formula) -> None:
+        for _, node in summands(phi):
+            if isinstance(node, Apply):
+                if node.symbol == METRIC:
+                    if len(node.args) != 2:
+                        raise ArityMismatchError("the metric 'd' takes exactly 2 arguments")
+                else:
+                    info = sig.relations.get(node.symbol)
+                    if info is None:
+                        raise UnknownSymbolError(f"unknown relation symbol {node.symbol!r}")
+                    if len(node.args) != info.arity:
+                        raise ArityMismatchError(
+                            f"relation {node.symbol!r} expects {info.arity} arguments,"
+                            f" got {len(node.args)}"
+                        )
+                for t in node.args:
+                    check_term(t)
+            elif not isinstance(node, One):
+                if node.var in taken:
+                    raise UnknownSymbolError(
+                        f"quantified variable {node.var!r} collides with a declared symbol"
                     )
-            for t in node.args:
-                check_term(t)
-        elif isinstance(node, (Inf, Sup)):
-            if node.var in taken:
-                raise UnknownSymbolError(
-                    f"quantified variable {node.var!r} collides with a declared symbol"
-                )
-            stack.append(node.body)
-        elif not isinstance(node, One):
-            raise TypeError(f"not a formula: {node!r}")
+                check(node.body)
+
+    check(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -529,46 +538,40 @@ class LipschitzCertificate:
     bound: Fraction
 
 
+def _slopes(terms: Iterable[Term], sig: Signature) -> dict[str, Fraction]:
+    """Per-variable slopes of the terms, summed over the terms."""
+    merged: dict[str, Fraction] = {}
+    for t in terms:
+        for v, s in _term_slopes(t, sig).items():
+            merged[v] = merged.get(v, ZERO) + s
+    return merged
+
+
 def _term_slopes(t: Term, sig: Signature) -> dict[str, Fraction]:
     if isinstance(t, Var):
-        return {t.name: Fraction(1)}
+        return {t.name: ONE}
     if isinstance(t, Const):
         return {}
     lam_f = sig.functions[t.name].lam
-    merged: dict[str, Fraction] = {}
-    for arg in t.args:
-        for v, s in _term_slopes(arg, sig).items():
-            merged[v] = merged.get(v, Fraction(0)) + s
-    return {v: lam_f * s for v, s in merged.items()}
+    return {v: lam_f * s for v, s in _slopes(t.args, sig).items()}
 
 
 def _cert(phi: Formula, sig: Signature) -> tuple[Fraction, Fraction]:
-    """(lam, bound) of phi: each atom's pair times the product r of the
-    |coefficients| above it, summed over the atoms (a quantifier keeps its
-    body's pair).  The tree is walked with a stack, so a long sum costs no
-    recursion depth."""
-    lam, bound = Fraction(0), Fraction(0)
-    stack = [(phi, Fraction(1))]
-    while stack:
-        node, r = stack.pop()
-        if isinstance(node, Sum):
-            stack += ((node.left, r), (node.right, r))
-        elif isinstance(node, Scale):
-            stack.append((node.body, r * abs(node.coeff)))
-        elif isinstance(node, (Inf, Sup)):
-            stack.append((node.body, r))
+    """(lam, bound) of phi: each summand's pair times |c|, summed over the
+    summands; an atom's pair is (relation constant * worst slope, 1), and a
+    quantifier's is its body's."""
+    lam, bound = ZERO, ZERO
+    for c, node in summands(phi):
+        r = abs(c)
+        if isinstance(node, Apply):
+            lam_r = ONE if node.symbol == METRIC else sig.relations[node.symbol].lam
+            lam += r * lam_r * max(_slopes(node.args, sig).values(), default=ZERO)
+            bound += r
         elif isinstance(node, One):
             bound += r
-        elif isinstance(node, Apply):
-            lam_r = Fraction(1) if node.symbol == METRIC else sig.relations[node.symbol].lam
-            per_var: dict[str, Fraction] = {}
-            for t in node.args:
-                for v, s in _term_slopes(t, sig).items():
-                    per_var[v] = per_var.get(v, Fraction(0)) + s
-            lam += r * lam_r * max(per_var.values(), default=Fraction(0))
-            bound += r
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            body_lam, body_bound = _cert(node.body, sig)
+            lam, bound = lam + r * body_lam, bound + r * body_bound
     return lam, bound
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int
-from .model import FiniteStructure, eval_table, int_table, row_major
+from .model import EMPTY_STRUCTURE, FiniteStructure, eval_table, int_table, row_major
 from .syntax import Condition, Formula, free_vars
 
 ZERO = Fraction(0)
@@ -181,6 +181,8 @@ def type_hull(
     M: FiniteStructure, n: int, family: FormulaFamily, cap: int = DEFAULT_CAP
 ) -> TypeHull:
     """Hull data of all realized n-types relative to the family."""
+    if M.size == 0:
+        raise TypespaceError(EMPTY_STRUCTURE)
     if n != family.arity:
         raise TypespaceError("n must match the family's variable count")
     if M.size ** n > cap:
@@ -551,6 +553,8 @@ def affine_satisfiable(
     M), or nonnegative coefficients exhibiting a member of the affine
     closure that fails strictly everywhere.
     """
+    if M.size == 0:
+        raise TypespaceError(EMPTY_STRUCTURE)
     if variables is None:
         names: set[str] = set()
         for cond in conditions:

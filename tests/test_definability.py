@@ -44,7 +44,7 @@ from affinelogic.model import (
 )
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_metric
-from affinelogic.syntax import parse_formula
+from affinelogic.syntax import One, parse_formula
 from affinelogic.typespace import (
     FormulaFamily,
     TypespaceError,
@@ -478,10 +478,11 @@ def _ref_validate_function_table(M, f):
             raise DefinabilityError(f"output arity mismatch at {args}")
         if any(not 0 <= x < M.size for x in out):
             raise DefinabilityError(f"output out of range at {args}")
-    # All pairs: M is not validated here, and reducing to neighbour pairs
-    # for tuple-valued outputs needs the triangle inequality of its metric.
-    for a in expected:
-        for b in expected:
+    # All pairs, in product order: M is not validated here, and reducing to
+    # neighbour pairs for tuple-valued outputs needs the triangle inequality
+    # of its metric.
+    for a in sorted(expected):
+        for b in sorted(expected):
             if M.tuple_distance(f.table[a], f.table[b]) > f.lam * M.tuple_distance(a, b):
                 raise DefinabilityError(
                     f"function table violates its declared constant at {a}, {b}"
@@ -559,6 +560,27 @@ def test_function_table_checks_match_fraction_reference(case):
     M, f = case
     assert _outcome(validate_function_table, M, f) == _outcome(_ref_validate_function_table, M, f)
     assert _outcome(check_graph_identities, M, f) == _outcome(_ref_check_graph_identities, M, f)
+
+
+def test_function_table_witness_is_the_first_violating_pair_in_product_order(A2):
+    # the identity on pairs is 1-Lipschitz, not 1/2-Lipschitz: every pair of
+    # distinct inputs violates the constant, and the first of them in
+    # product order is reported
+    f = FunctionTable(2, 2, F(1, 2), {a: a for a in _tuples(A2, 2)})
+    with pytest.raises(DefinabilityError) as info:
+        validate_function_table(A2, f)
+    assert str(info.value) == "function table violates its declared constant at (0, 0), (0, 1)"
+
+
+@pytest.mark.parametrize("check, error", [
+    (lambda M: check_distance_axioms(M, PredicateTable(1, {})), StructureError),
+    (lambda M: is_definable_predicate(M, PredicateTable(1, {}), FormulaFamily(("x",), (One(),))),
+     TypespaceError),
+    (lambda M: is_definable_set(M, [], FormulaFamily(("x",), (One(),)), 1), TypespaceError),
+], ids=["check_distance_axioms", "is_definable_predicate", "is_definable_set"])
+def test_definability_refuses_the_empty_structure(check, error):
+    with pytest.raises(error, match="^structure must have at least one element$"):
+        check(FiniteStructure((), ()))
 
 
 # ---------------------------------------------------------------------------

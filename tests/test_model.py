@@ -573,6 +573,31 @@ def test_first_order_flag_matches_set_membership(M, value):
     assert M.is_first_order() == expected
 
 
+@pytest.mark.parametrize("metric, values, named, bad", [
+    (((ZERO, 0.5), (0.5, ZERO)), (ZERO, ONE), "metric 'd'", 0.5),
+    (((ZERO, ONE), (ONE, ZERO)), (ZERO, 1.0), "relation 'S'", 1.0),
+])
+def test_first_order_flag_refuses_inexact_values(metric, values, named, bad):
+    # a float is refused with the StructureError of the int forms, naming
+    # its table, not read as its binary value (or a bare AttributeError)
+    M = FiniteStructure(("a", "b"), metric, relations={
+        "R": RelationInterp(1, ONE, {(0,): ZERO, (1,): ONE}),
+        "S": RelationInterp(1, ONE, {(i,): v for i, v in enumerate(values)}),
+    })
+    with pytest.raises(StructureError) as info:
+        M.is_first_order()
+    assert str(info.value) == f"{named} has a value that is not an exact rational: {bad!r}"
+
+
+def test_the_empty_structure_is_refused_by_the_int_metric():
+    # eval_table reads d through int_metric, which refuses a structure with
+    # no elements as validate_structure does (not with range()'s ValueError)
+    M = FiniteStructure((), ())
+    with pytest.raises(StructureError) as info:
+        eval_table(M, parse_formula("d(x, x)", M.signature()), ("x",))
+    assert str(info.value) == validate_structure(M).message == "structure must have at least one element"
+
+
 # ---------------------------------------------------------------------------
 # the flat-table kernel against the recursive evaluators it replaced
 #

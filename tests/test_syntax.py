@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from affinelogic.sampling import random_formula
 from affinelogic.syntax import (
+    METRIC,
+    RESERVED,
     Apply,
     ArityMismatchError,
     Condition,
@@ -13,6 +15,7 @@ from affinelogic.syntax import (
     FormulaError,
     Func,
     Inf,
+    LipschitzCertificate,
     One,
     ParseError,
     Scale,
@@ -21,6 +24,7 @@ from affinelogic.syntax import (
     Sup,
     UnknownSymbolError,
     Var,
+    _cert,
     affine_combine,
     certificate,
     check_formula,
@@ -30,6 +34,8 @@ from affinelogic.syntax import (
     parse_formula,
     render,
     render_condition,
+    summands,
+    term_vars,
 )
 
 SIG = Signature.make(
@@ -260,6 +266,216 @@ def test_random_formula_certificates_are_nonnegative(seed):
     assert cert.bound >= 0
     again = parse_formula(render(phi), SIG)
     assert again == phi
+
+
+# ---------------------------------------------------------------------------
+# one walk of the affine spine
+#
+# free_vars, check_formula and _cert read the Sum/Scale spine through
+# summands.  The three functions below are their previous versions, each
+# with a stack loop of its own, kept verbatim (renamed) as references.
+
+
+def _ref_free_vars(phi):
+    out = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.left, node.right)
+        elif isinstance(node, Scale):
+            stack.append(node.body)
+        elif isinstance(node, Apply):
+            for t in node.args:
+                out |= term_vars(t)
+        elif isinstance(node, (Inf, Sup)):
+            out |= _ref_free_vars(node.body) - {node.var}
+        elif not isinstance(node, One):
+            raise TypeError(f"not a formula: {node!r}")
+    return frozenset(out)
+
+
+def _ref_check_formula(phi, sig):
+    taken = RESERVED | sig.constants | sig.functions.keys() | sig.relations.keys()
+
+    def check_term(t):
+        if isinstance(t, Var):
+            if t.name in taken:
+                raise UnknownSymbolError(f"variable {t.name!r} collides with a declared symbol")
+            return
+        if isinstance(t, Const):
+            if t.name not in sig.constants:
+                raise UnknownSymbolError(f"unknown constant symbol {t.name!r}")
+            return
+        info = sig.functions.get(t.name)
+        if info is None:
+            raise UnknownSymbolError(f"unknown function symbol {t.name!r}")
+        if len(t.args) != info.arity:
+            raise ArityMismatchError(
+                f"function {t.name!r} expects {info.arity} arguments, got {len(t.args)}"
+            )
+        for a in t.args:
+            check_term(a)
+
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        elif isinstance(node, Scale):
+            stack.append(node.body)
+        elif isinstance(node, Apply):
+            if node.symbol == METRIC:
+                if len(node.args) != 2:
+                    raise ArityMismatchError("the metric 'd' takes exactly 2 arguments")
+            else:
+                info = sig.relations.get(node.symbol)
+                if info is None:
+                    raise UnknownSymbolError(f"unknown relation symbol {node.symbol!r}")
+                if len(node.args) != info.arity:
+                    raise ArityMismatchError(
+                        f"relation {node.symbol!r} expects {info.arity} arguments,"
+                        f" got {len(node.args)}"
+                    )
+            for t in node.args:
+                check_term(t)
+        elif isinstance(node, (Inf, Sup)):
+            if node.var in taken:
+                raise UnknownSymbolError(
+                    f"quantified variable {node.var!r} collides with a declared symbol"
+                )
+            stack.append(node.body)
+        elif not isinstance(node, One):
+            raise TypeError(f"not a formula: {node!r}")
+
+
+def _ref_term_slopes(t, sig):
+    if isinstance(t, Var):
+        return {t.name: F(1)}
+    if isinstance(t, Const):
+        return {}
+    lam_f = sig.functions[t.name].lam
+    merged = {}
+    for arg in t.args:
+        for v, s in _ref_term_slopes(arg, sig).items():
+            merged[v] = merged.get(v, F(0)) + s
+    return {v: lam_f * s for v, s in merged.items()}
+
+
+def _ref_cert(phi, sig):
+    lam, bound = F(0), F(0)
+    stack = [(phi, F(1))]
+    while stack:
+        node, r = stack.pop()
+        if isinstance(node, Sum):
+            stack += ((node.left, r), (node.right, r))
+        elif isinstance(node, Scale):
+            stack.append((node.body, r * abs(node.coeff)))
+        elif isinstance(node, (Inf, Sup)):
+            stack.append((node.body, r))
+        elif isinstance(node, One):
+            bound += r
+        elif isinstance(node, Apply):
+            lam_r = F(1) if node.symbol == METRIC else sig.relations[node.symbol].lam
+            per_var = {}
+            for t in node.args:
+                for v, s in _ref_term_slopes(t, sig).items():
+                    per_var[v] = per_var.get(v, F(0)) + s
+            lam += r * lam_r * max(per_var.values(), default=F(0))
+            bound += r
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return lam, bound
+
+
+def _walk_outcome(fn, *args):
+    """The value, or the type and message of the error, of one call."""
+    try:
+        return fn(*args)
+    except (FormulaError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _foreign_nodes(phi) -> int:
+    """How many nodes in formula position are not formula nodes."""
+    if isinstance(phi, Sum):
+        return _foreign_nodes(phi.left) + _foreign_nodes(phi.right)
+    if isinstance(phi, (Scale, Inf, Sup)):
+        return _foreign_nodes(phi.body)
+    return 0 if isinstance(phi, (One, Apply)) else 1
+
+
+# Not formulas, each with a fixed repr: a term, a string and None.
+_FOREIGN = (Var("x"), Const("zero"), "mu(x)", None)
+_WALKED_FORMULAS = st.recursive(
+    st.just(One())
+    | st.builds(Apply, st.sampled_from(_NAMES), st.lists(_ANY_TERMS, max_size=3).map(tuple))
+    | st.sampled_from(_FOREIGN),
+    lambda f: st.builds(Scale, st.sampled_from([F(-1), F(-2, 3), F(0), F(1), F(3)]), f)
+    | st.builds(Sum, f, f)
+    | st.builds(Inf, st.sampled_from(_NAMES), f)
+    | st.builds(Sup, st.sampled_from(_NAMES), f),
+    max_leaves=8,
+)
+_RANDOM_FORMULAS = st.integers(min_value=0, max_value=10_000).map(
+    lambda seed: random_formula(random.Random(seed), SIG, ("x", "y"), depth=4, quantifiers=2)
+)
+
+_MU_X = Apply("mu", (Var("x"),))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_WALKED_FORMULAS | _RANDOM_FORMULAS)
+# an error in a quantifier body comes before one in a right-hand sibling
+@example(Sum(Inf("x", Apply("nu", (Var("x"),))), Apply("mu", (Var("f"),))))
+@example(Sum(Sup("y", Sum(One(), Var("y"))), Apply("R", (Var("x"),))))
+@example(Sum(Inf("x", Scale(F(2), Apply("d", (Var("x"),)))), Sup("mu", _MU_X)))
+@example(Sum(Scale(F(3), Inf("z", Apply("mu", (Const("two"),)))), None))
+# ... and after one in a left-hand sibling, or in the quantifier's variable
+@example(Sum(Apply("mu", (Var("zero"),)), Inf("x", "mu(x)")))
+@example(Sum(Inf("inf", Apply("nu", ())), Apply("R", ())))
+# two foreign nodes: free_vars and _cert may name either one
+@example(Sum(Var("x"), Inf("y", Const("zero"))))
+@example(Sum(Sum(_MU_X, None), Scale(F(1, 2), "mu(x)")))
+def test_spine_walkers_match_their_references(phi):
+    assert _walk_outcome(check_formula, phi, SIG) == _walk_outcome(_ref_check_formula, phi, SIG)
+    fv, ref_fv = _walk_outcome(free_vars, phi), _walk_outcome(_ref_free_vars, phi)
+    if _foreign_nodes(phi) > 1:
+        # the references walk right to left; both refuse some foreign node
+        assert fv[0] is ref_fv[0] is TypeError
+    else:
+        assert fv == ref_fv
+    checked = _walk_outcome(_ref_check_formula, phi, SIG)
+    if checked is None:
+        assert _cert(phi, SIG) == _ref_cert(phi, SIG)
+        assert certificate(phi, SIG) == LipschitzCertificate(*_ref_cert(phi, SIG))
+    else:
+        assert _walk_outcome(certificate, phi, SIG) == checked
+
+
+def test_summands_are_the_leaves_with_their_coefficients():
+    phi = parse_formula("1/2 * (mu(x) - 3 * (1 + inf y. d(x, y))) + 2 * -1 * R(x, y)", SIG)
+    leaves = list(summands(phi))
+    assert leaves == [
+        (F(1, 2), _MU_X),
+        (F(-3, 2), One()),
+        (F(-3, 2), Inf("y", Apply("d", (Var("x"), Var("y"))))),
+        (F(-2), Apply("R", (Var("x"), Var("y")))),
+    ]
+    # a quantifier is a leaf: its body's spine is not entered
+    assert list(summands(phi.left.body.right)) == [(F(-3), One()), (F(-3), leaves[2][1])]
+    assert list(summands(One())) == [(1, One())]
+    walk = summands(Sum(_MU_X, Scale(F(2), Var("y"))))
+    assert next(walk) == (1, _MU_X)  # the foreign node is refused when reached
+    with pytest.raises(TypeError, match=r"not a formula: Var\(name='y'\)"):
+        next(walk)
+
+
+def test_a_long_sum_is_checked_and_certified_without_recursion():
+    phi = parse_formula(" + ".join(["mu(x)", "-1/2 * R(x, f(y))", "(sup z. d(z, one))"] * 5000), SIG)
+    assert len(list(summands(phi))) == 15000
+    cert = certificate(phi, SIG)
+    assert (cert.lam, cert.bound) == (5000 * F(3), 5000 * F(5, 2))
 
 
 # ---------------------------------------------------------------------------

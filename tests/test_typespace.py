@@ -14,7 +14,7 @@ from affinelogic.linalg import (
     matrix_rank,
 )
 from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
-from affinelogic.model import FiniteStructure, RelationInterp, eval_table
+from affinelogic.model import FiniteStructure, RelationInterp, StructureError, eval_table
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_formula, random_hull_structure, random_structure
 from affinelogic.suites import oracle_extreme
@@ -913,3 +913,31 @@ def test_keisler_examples_cover_every_branch():
     assert outcomes[0].weights == {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
     assert [o[0] for o in outcomes[1:]] == [NonUniqueDecompositionError] * 2 + [DecompositionError] * 2
     assert "outside the hull" in outcomes[3][1] and "affine hull" in outcomes[4][1]
+
+
+# ---------------------------------------------------------------------------
+# structures the hull refuses
+
+
+def test_factor_through_hull_refuses_the_empty_structure():
+    # the hull of a structure with no elements has no vertex to solve over
+    M = FiniteStructure((), ())
+    with pytest.raises(TypespaceError, match="^structure must have at least one element$"):
+        factor_through_hull(type_hull(M, 1, FormulaFamily(("x",), (One(),))), {})
+
+
+@pytest.mark.parametrize("variables", [("x",), ()])
+def test_affine_satisfiable_refuses_the_empty_structure(variables):
+    M = FiniteStructure((), ())
+    with pytest.raises(TypespaceError, match="^structure must have at least one element$"):
+        affine_satisfiable(M, [], variables)
+
+
+def test_type_hull_refuses_an_inexact_metric_it_does_not_read():
+    # the family reads R only; the first-order flag still reads the metric
+    M = FiniteStructure(("a", "b"), ((F(0), 0.5), (0.5, F(0))),
+                        relations={"R": RelationInterp(1, F(1), {(0,): F(0), (1,): F(1)})})
+    family = FormulaFamily(("x",), (parse_formula("R(x)", M.signature()),))
+    with pytest.raises(StructureError) as info:
+        type_hull(M, 1, family)
+    assert str(info.value) == "metric 'd' has a value that is not an exact rational: 0.5"
