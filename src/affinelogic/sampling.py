@@ -18,6 +18,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .definability import FunctionTable, PredicateTable
+from .errors import AffineLogicError
 from .linalg import int_row
 from .model import FiniteStructure, FunctionInterp, RelationInterp, neighbour_pairs
 from .syntax import (
@@ -36,6 +37,11 @@ from .syntax import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class SamplingError(AffineLogicError, ValueError):
+    """Generator arguments that no instance can meet."""
+
 
 _METRIC_GRID = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 _VALUE_DENOMS = [1, 2, 3, 4, 6]
@@ -130,7 +136,18 @@ def random_structure_family(
     max_size: int = 6,
     product_cap: int = 256,
 ) -> list[FiniteStructure]:
-    """Factor structures over one shared signature, product capped."""
+    """Factor structures over one shared signature, product capped.  Every
+    factor has at least 2 elements, so arguments no family can meet are
+    refused before any draw."""
+    if count < 1:
+        raise SamplingError(f"count={count}: a family needs at least one structure")
+    if max_size < 2:
+        raise SamplingError(f"max_size={max_size}: every structure has at least 2 elements")
+    if product_cap < 2 ** count:
+        raise SamplingError(
+            f"product_cap={product_cap} is below 2**count = {2 ** count}: "
+            f"{count} structures of at least 2 elements cannot fit"
+        )
     while True:
         sizes = [rng.randint(2, max_size) for _ in range(count)]
         product = 1

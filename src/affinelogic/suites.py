@@ -80,18 +80,37 @@ class SuiteResult:
         return f"[{mark}] {self.name}: {self.checked} checks in {self.seconds:.1f}s{extra}"
 
 
-def _result(name: str, start: float, ok: bool, checked: int, detail: str = "") -> SuiteResult:
-    return SuiteResult(name, ok, checked, time.perf_counter() - start, detail)
+Verdict = tuple[bool, int, str]  # (ok, checks performed, detail)
+
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(key: str, name: str):
+    """Declare a suite: check(rng, **sizes) -> (ok, checked, detail) becomes
+    the runner (seed=0, **sizes) -> SuiteResult, registered in SUITES under
+    `key` in definition order.  The runner seeds the rng and times the whole
+    check; this is the one place a suite reads the clock."""
+
+    def declare(check: Callable[..., Verdict]) -> Callable[..., SuiteResult]:
+        def run(seed: int = 0, **sizes: int) -> SuiteResult:
+            clock = time.perf_counter
+            start = clock()
+            ok, checked, detail = check(random.Random(seed), **sizes)
+            return SuiteResult(name, ok, checked, clock() - start, detail)
+
+        run.__name__ = run.__qualname__ = check.__name__
+        SUITES[key] = run
+        return run
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
 # 1. quotient value equals the weighted factor average
 
 
-def run_ultramean(seed: int = 0, instances: int = 1000) -> SuiteResult:
-    name = "ultramean identity"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("ultramean", "ultramean identity")
+def run_ultramean(rng: random.Random, instances: int = 1000) -> Verdict:
     for i in range(instances):
         big = i % 100 == 99
         count = rng.randint(1, 4)
@@ -113,18 +132,16 @@ def run_ultramean(seed: int = 0, instances: int = 1000) -> SuiteResult:
         report = check_ultramean_identity(structures, mu, phi, raw)
         if not report.equal:
             detail = f"instance {i}: {report.quotient_value} != {report.integral_value}"
-            return _result(name, start, False, i + 1, detail)
-    return _result(name, start, True, instances)
+            return False, i + 1, detail
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
 # 2. Lipschitz certificates are sound on every assignment pair
 
 
-def run_certificates(seed: int = 0, structures: int = 50) -> SuiteResult:
-    name = "certificate soundness"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("certificates", "certificate soundness")
+def run_certificates(rng: random.Random, structures: int = 50) -> Verdict:
     checked = 0
     for s in range(structures):
         M = random_structure(rng, max_size=4)
@@ -142,7 +159,7 @@ def run_certificates(seed: int = 0, structures: int = 50) -> SuiteResult:
                 checked += 1
                 if abs(tbl[a]) > cert.bound:
                     detail = f"structure {s}: |phi({a})| = {tbl[a]} > b = {cert.bound}"
-                    return _result(name, start, False, checked, detail)
+                    return False, checked, detail
             for a, b in itertools.combinations(asgs, 2):
                 checked += 1
                 if abs(tbl[a] - tbl[b]) > cert.lam * M.tuple_distance(a, b):
@@ -150,8 +167,8 @@ def run_certificates(seed: int = 0, structures: int = 50) -> SuiteResult:
                         f"structure {s}: |phi({a})-phi({b})| = {abs(tbl[a] - tbl[b])}"
                         f" > lam*d = {cert.lam * M.tuple_distance(a, b)}"
                     )
-                    return _result(name, start, False, checked, detail)
-    return _result(name, start, True, checked)
+                    return False, checked, detail
+    return True, checked, ""
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +209,8 @@ def _interval_triples(k: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def run_interval(seed: int = 0, max_atoms: int = 6, sample_cap: int = 4096) -> SuiteResult:
-    name = "interval distance"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("interval", "interval distance")
+def run_interval(rng: random.Random, max_atoms: int = 6, sample_cap: int = 4096) -> Verdict:
     checked = 0
     for k in range(1, max_atoms + 1):
         all_triples = _interval_triples(k)
@@ -221,18 +236,16 @@ def run_interval(seed: int = 0, max_atoms: int = 6, sample_cap: int = 4096) -> S
                 checked += 1
                 if got != best or not (A.leq(a, proj) and A.leq(proj, b)) or mu_tab[x ^ proj] != got:
                     detail = f"k={k} x={x} a={a} b={b}: formula {got}, brute force {best}"
-                    return _result(name, start, False, checked, detail)
-    return _result(name, start, True, checked)
+                    return False, checked, detail
+    return True, checked, ""
 
 
 # ---------------------------------------------------------------------------
 # 4. Hahn max-sets against exhaustive argmax
 
 
-def run_hahn(seed: int = 0, instances: int = 500) -> SuiteResult:
-    name = "hahn max-set"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("hahn", "hahn max-set")
+def run_hahn(rng: random.Random, instances: int = 500) -> Verdict:
     for i in range(instances):
         k = rng.randint(1, 6)
         A = build_algebra(random_positive_weights(rng, k))
@@ -245,21 +258,19 @@ def run_hahn(seed: int = 0, instances: int = 500) -> SuiteResult:
         best = max(table)
         argmax = {x for x in A.elements() if table[x] == best}
         if not A.leq(rep.lower, rep.upper):
-            return _result(name, start, False, i + 1, f"instance {i}: interval empty")
+            return False, i + 1, f"instance {i}: interval empty"
         if rep.max_value != best or set(A.interval(rep.lower, rep.upper)) != argmax:
             detail = f"instance {i}: atoms {vals}, got max {rep.max_value}, want {best}"
-            return _result(name, start, False, i + 1, detail)
-    return _result(name, start, True, instances)
+            return False, i + 1, detail
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
 # 5. distance tables satisfy the axioms and round-trip through their zero set
 
 
-def run_distance_axioms(seed: int = 0, instances: int = 500) -> SuiteResult:
-    name = "distance-axiom round trip"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("distance-axioms", "distance-axiom round trip")
+def run_distance_axioms(rng: random.Random, instances: int = 500) -> Verdict:
     for i in range(instances):
         M = random_structure(rng, max_size=5)
         n = 1 if M.size > 4 else rng.randint(1, 2)
@@ -268,11 +279,11 @@ def run_distance_axioms(seed: int = 0, instances: int = 500) -> SuiteResult:
         rep = check_distance_axioms(M, P)
         if not rep.ok:
             detail = f"instance {i}: axioms fail: {', '.join(rep.failing)}"
-            return _result(name, start, False, i + 1, detail)
+            return False, i + 1, detail
         back = zeroset_recover(M, P)
         if back != D:
-            return _result(name, start, False, i + 1, f"instance {i}: recovered {sorted(back)}")
-    return _result(name, start, True, instances)
+            return False, i + 1, f"instance {i}: recovered {sorted(back)}"
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +324,8 @@ def oracle_extreme(points: Sequence[tuple[Fraction, ...]], i: int) -> bool:
     return True
 
 
-def run_extreme(seed: int = 0, instances: int = 200) -> SuiteResult:
-    name = "extreme-point oracle"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("extreme", "extreme-point oracle")
+def run_extreme(rng: random.Random, instances: int = 200) -> Verdict:
     checked = 0
     for i in range(instances):
         if i % 25 == 24:
@@ -336,7 +345,7 @@ def run_extreme(seed: int = 0, instances: int = 200) -> SuiteResult:
             checked += 1
             if oracle_extreme(pts, idx) != (idx in lp_extreme):
                 detail = f"instance {i}: vertex {idx} of {pts} misclassified"
-                return _result(name, start, False, checked, detail)
+                return False, checked, detail
         for ev in rep.extreme:
             score = ev.offset + sum(
                 (c * x for c, x in zip(ev.coeffs, pts[ev.index])), start=ZERO
@@ -348,7 +357,7 @@ def run_extreme(seed: int = 0, instances: int = 200) -> SuiteResult:
             ]
             if score <= 0 or any(r > 0 for r in rest):
                 detail = f"instance {i}: separating functional fails at vertex {ev.index}"
-                return _result(name, start, False, checked, detail)
+                return False, checked, detail
         for nv_ in rep.non_extreme:
             w = nv_.weights
             mix = tuple(
@@ -362,18 +371,16 @@ def run_extreme(seed: int = 0, instances: int = 200) -> SuiteResult:
                 or mix != pts[nv_.index]
             ):
                 detail = f"instance {i}: convex weights fail at vertex {nv_.index}"
-                return _result(name, start, False, checked, detail)
-    return _result(name, start, True, checked)
+                return False, checked, detail
+    return True, checked, ""
 
 
 # ---------------------------------------------------------------------------
 # 7. satisfiability dichotomy with certificate re-verification
 
 
-def run_dichotomy(seed: int = 0, instances: int = 500) -> SuiteResult:
-    name = "satisfiability dichotomy"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("dichotomy", "satisfiability dichotomy")
+def run_dichotomy(rng: random.Random, instances: int = 500) -> Verdict:
     sat_count = unsat_count = 0
     for i in range(instances):
         M = random_structure(rng, max_size=4)
@@ -423,7 +430,7 @@ def run_dichotomy(seed: int = 0, instances: int = 500) -> SuiteResult:
                 )
             )
         if bad:
-            return _result(name, start, False, i + 1, f"instance {i}: certificate fails")
+            return False, i + 1, f"instance {i}: certificate fails"
     A = build_algebra([ONE])
     Mp = A.to_structure()
     sigp = Mp.signature()
@@ -434,30 +441,23 @@ def run_dichotomy(seed: int = 0, instances: int = 500) -> SuiteResult:
     res = affine_satisfiable(Mp, conds, ("x",))
     want = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     if not res.satisfiable or res.witness != want:
-        return _result(
-            name, start, False, instances + 1,
-            f"two-point instance: witness {res.witness}, want {want}",
-        )
+        return False, instances + 1, f"two-point instance: witness {res.witness}, want {want}"
     for e in (0, 1):
         mu_e = Mp.relations["mu"].table[(e,)]
         if mu_e == Fraction(1, 2):
-            return _result(
-                name, start, False, instances + 1,
-                f"two-point instance: point witness {e} should not exist",
-            )
+            return False, instances + 1, f"two-point instance: point witness {e} should not exist"
     detail = f"{sat_count} satisfiable / {unsat_count} refuted"
     if sat_count < 20 or unsat_count < 20:
-        return _result(name, start, False, instances + 1, "generator degenerate: " + detail)
-    return _result(name, start, True, instances + 1, detail)
+        return False, instances + 1, "generator degenerate: " + detail
+    return True, instances + 1, detail
 
 
 # ---------------------------------------------------------------------------
 # 8. probability-algebra extreme types are exactly the types of 0 and 1
 
 
-def run_pra_extreme(seed: int = 0, max_atoms: int = 6) -> SuiteResult:
-    name = "pra extreme types"
-    start = time.perf_counter()
+@_suite("pra-extreme", "pra extreme types")
+def run_pra_extreme(rng: random.Random, max_atoms: int = 6) -> Verdict:
     checked = 0
     for k in range(1, max_atoms + 1):
         for weights in weight_grid(k):
@@ -471,23 +471,21 @@ def run_pra_extreme(seed: int = 0, max_atoms: int = 6) -> SuiteResult:
             checked += 1
             if ext_vals != {(ZERO,), (ONE,)}:
                 detail = f"k={k} weights {weights}: extremes {sorted(ext_vals)}"
-                return _result(name, start, False, checked, detail)
+                return False, checked, detail
             zero_idx = values.index((ZERO,))
             one_idx = values.index((ONE,))
             if hull.realizations[zero_idx] != ((0,),) or hull.realizations[one_idx] != ((A.top,),):
                 detail = f"k={k}: extreme vertices not realized by 0 and 1 alone"
-                return _result(name, start, False, checked, detail)
-    return _result(name, start, True, checked)
+                return False, checked, detail
+    return True, checked, ""
 
 
 # ---------------------------------------------------------------------------
 # 9. keisler_decompose inverts barycenter on separating families
 
 
-def run_keisler(seed: int = 0, instances: int = 200) -> SuiteResult:
-    name = "keisler/barycenter inverse"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("keisler", "keisler/barycenter inverse")
+def run_keisler(rng: random.Random, instances: int = 200) -> Verdict:
     for i in range(instances):
         m = rng.randint(2, 5)
         M = random_first_order_structure(rng, m)
@@ -498,15 +496,15 @@ def run_keisler(seed: int = 0, instances: int = 200) -> SuiteResult:
         rep = extreme_points(hull)
         idxs = list(rep.extreme_indices)
         if len(idxs) != m:
-            return _result(name, start, False, i + 1, f"instance {i}: {len(idxs)} extremes")
+            return False, i + 1, f"instance {i}: {len(idxs)} extremes"
         ws = random_ultracharge_weights(rng, m)
         measure = BoundaryMeasure({j: w for j, w in zip(idxs, ws) if w != 0})
         p = barycenter(hull, measure)
         rec = keisler_decompose(hull, p)
         if rec.weights != measure.weights:
             detail = f"instance {i}: got {rec.weights}, want {measure.weights}"
-            return _result(name, start, False, i + 1, detail)
-    return _result(name, start, True, instances)
+            return False, i + 1, detail
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +531,8 @@ def lipschitz_map(rng: random.Random, M: FiniteStructure) -> FunctionTable:
     return FunctionTable(1, 1, tight_function_lambda(M.metric, table), table)
 
 
-def run_projection_graph(seed: int = 0, instances: int = 200) -> SuiteResult:
-    name = "projection and graph identities"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("projection-graph", "projection and graph identities")
+def run_projection_graph(rng: random.Random, instances: int = 200) -> Verdict:
     for i in range(instances):
         M = random_structure(rng, max_size=4)
         lam = rng.choice([Fraction(1, 2), ONE, Fraction(2)])
@@ -545,23 +541,21 @@ def run_projection_graph(seed: int = 0, instances: int = 200) -> SuiteResult:
         D = random_subset(rng, M, 1)
         rep = inf_over_definable(M, D, P, lam)
         if not rep.identity_holds:
-            return _result(name, start, False, i + 1, f"instance {i}: projection identity fails")
+            return False, i + 1, f"instance {i}: projection identity fails"
         f = lipschitz_map(rng, M)
         g = check_graph_identities(M, f)
         if not g.ok:
             which = "forward" if not g.forward_holds else "backward"
-            return _result(name, start, False, i + 1, f"instance {i}: {which} graph identity fails")
-    return _result(name, start, True, instances)
+            return False, i + 1, f"instance {i}: {which} graph identity fails"
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
 # 11. invariant types are pushforward-fixed
 
 
-def run_invariant(seed: int = 0, instances: int = 200) -> SuiteResult:
-    name = "invariant type"
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@_suite("invariant", "invariant type")
+def run_invariant(rng: random.Random, instances: int = 200) -> Verdict:
     for i in range(instances):
         M = random_structure(rng, max_size=5)
         sig = M.signature()
@@ -574,9 +568,9 @@ def run_invariant(seed: int = 0, instances: int = 200) -> SuiteResult:
         p = invariant_type(M, f, family)
         w = p.witness
         if w is None:
-            return _result(name, start, False, i + 1, f"instance {i}: no witness")
+            return False, i + 1, f"instance {i}: no witness"
         if pushforward(f, w) != w:
-            return _result(name, start, False, i + 1, f"instance {i}: witness not invariant")
+            return False, i + 1, f"instance {i}: witness not invariant"
         for j, phi in enumerate(family.formulas):
             tbl = eval_table(M, phi, ("x",))
             composed = sum(
@@ -584,27 +578,12 @@ def run_invariant(seed: int = 0, instances: int = 200) -> SuiteResult:
             )
             if composed != p.values[j]:
                 detail = f"instance {i}: p(phi_{j} o f) = {composed} != {p.values[j]}"
-                return _result(name, start, False, i + 1, detail)
-    return _result(name, start, True, instances)
+                return False, i + 1, detail
+    return True, instances, ""
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-SUITES: dict[str, Callable[[int], SuiteResult]] = {
-    "ultramean": run_ultramean,
-    "certificates": run_certificates,
-    "interval": run_interval,
-    "hahn": run_hahn,
-    "distance-axioms": run_distance_axioms,
-    "extreme": run_extreme,
-    "dichotomy": run_dichotomy,
-    "pra-extreme": run_pra_extreme,
-    "keisler": run_keisler,
-    "projection-graph": run_projection_graph,
-    "invariant": run_invariant,
-}
+# run by key
 
 
 def run_suites(names: Sequence[str] | None = None, seed: int = 0) -> list[SuiteResult]:

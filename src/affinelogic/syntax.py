@@ -17,6 +17,7 @@ and parse_formula ends by calling it.  Only syntax errors carry a position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -598,6 +599,12 @@ class Condition:
 
     def is_closed(self) -> bool:
         return not self.free_vars()
+
+    @cached_property
+    def gap(self) -> Formula:
+        """rhs - lhs as one formula, built on first use and kept, so its plan
+        is compiled once; the condition holds where the gap is >= 0."""
+        return Sum(Scale(-1, self.lhs), self.rhs)
 
 
 def render_condition(cond: Condition) -> str:

@@ -404,16 +404,6 @@ class FaceReport:
         return self.is_face
 
 
-def _gap_table(
-    M: FiniteStructure, cond: Condition, variables: Sequence[str]
-) -> dict[tuple[int, ...], Fraction]:
-    """rhs - lhs of the condition at every assignment of `variables`, keyed
-    in itertools.product order (see `eval_table`)."""
-    lhs = eval_table(M, cond.lhs, variables)
-    rhs = eval_table(M, cond.rhs, variables)
-    return {a: rhs[a] - lhs[a] for a in lhs}
-
-
 def condition_functionals(
     hull: TypeHull, conditions: Sequence[Condition]
 ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
@@ -427,7 +417,7 @@ def condition_functionals(
                 f"condition uses variables outside the family tuple: {sorted(fv)}"
             )
         out.append(_affine_in_family(
-            hull, _gap_table(hull.structure, cond, hull.family.variables),
+            hull, eval_table(hull.structure, cond.gap, hull.family.variables),
             "condition is not affine in the family coordinates",
         ))
     return out
@@ -568,7 +558,7 @@ def affine_satisfiable(
     tuples = list(itertools.product(range(M.size), repeat=n))
     if not conditions:
         return SatisfiabilityResult(True, witness={tuples[0]: ONE})
-    gaps = [_gap_table(M, cond, variables) for cond in conditions]
+    gaps = [eval_table(M, cond.gap, variables) for cond in conditions]
     return affine_satisfiable_tables(tuples, gaps)
 
 
@@ -672,6 +662,11 @@ def type_distance(p: TypeVector, q: TypeVector) -> Fraction:
     if p.structure is None or q.structure is None or p.structure != q.structure:
         raise TypespaceError("witnesses must live over the same structure")
     M = p.structure
+    for w in (p.witness, q.witness):
+        for a in w:
+            _check_tuple(M, a, p.family.arity)
+        if any(wt < 0 for wt in w.values()) or sum(w.values(), start=ZERO) != 1:
+            raise TypespaceError("witness weights must be nonnegative and sum to 1")
     left = sorted(p.witness.items())
     right = sorted(q.witness.items())
     if left == right:

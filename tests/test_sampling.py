@@ -2,11 +2,14 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinelogic.definability import PredicateTable
+from affinelogic.errors import AffineLogicError
 from affinelogic.model import eval_formula, validate_structure
 from affinelogic.sampling import (
+    SamplingError,
     lipschitz_relation,
     random_first_order_structure,
     random_formula,
@@ -254,3 +257,20 @@ def test_hull_structure_shape():
     assert sorted(M.relations) == ["R0", "R1", "R2"]
     for rel in M.relations.values():
         assert rel.arity == 1
+
+
+def test_random_structure_family_refuses_arguments_it_cannot_meet():
+    for args, kwargs, message in (
+        ((0,), {}, "count=0: a family needs at least one structure"),
+        ((2,), {"max_size": 1}, "max_size=1: every structure has at least 2 elements"),
+        ((3,), {"max_size": 4, "product_cap": 4},
+         "product_cap=4 is below 2**count = 8: 3 structures of at least 2 elements cannot fit"),
+    ):
+        rng = random.Random(0)
+        with pytest.raises(SamplingError) as info:
+            random_structure_family(rng, *args, **kwargs)
+        assert str(info.value) == message
+        assert rng.getstate() == random.Random(0).getstate()  # refused before any draw
+    with pytest.raises(SamplingError, match=r"^max_size=1: every structure has at least 2 elements$"):
+        random_structure(random.Random(0), 1)
+    assert issubclass(SamplingError, AffineLogicError) and issubclass(SamplingError, ValueError)

@@ -472,6 +472,26 @@ def test_type_distance_requires_witnesses():
         type_distance(p, bare)
 
 
+def test_type_distance_refuses_a_bad_witness():
+    M = fo_structure([(0,), (1,)])
+    family = FormulaFamily(("x",), (parse_formula("R0(x)", M.signature()),))
+    q = realized_type(M, (1,), family)
+    weights = "witness weights must be nonnegative and sum to 1"
+    for witness, message in (
+        ({(0,): F(1, 2)}, weights),
+        ({(0,): F(3, 2), (1,): F(-1, 2)}, weights),
+        ({(0, 1): ONE}, "expected a 1-tuple, got 2 coordinates"),
+        ({(2,): ONE}, "element index 2 out of range"),
+    ):
+        p = TypeVector(family, (ZERO,), witness, M)
+        for left, right in ((p, q), (q, p)):
+            with pytest.raises(TypespaceError) as info:
+                type_distance(left, right)
+            # bad input, not the internal error of a failed LP re-check
+            assert type(info.value) is TypespaceError
+            assert str(info.value) == message
+
+
 def test_type_distance_triangle_and_symmetry_random():
     rng = random.Random(9)
     M = random_hull_structure(rng, n_vertices=4, n_coords=2)
@@ -799,13 +819,13 @@ def test_is_face_and_exposed_face_evaluate_no_family_formula(monkeypatch, algebr
     conditions = [parse_condition(text, sig) for text in
                   ("mu(x) <= 1", "0 * 1 <= mu(x)", "1/2 * mu(x) <= 1/2 * 1")]
     assert is_face(algebra_hull, conditions)
-    # each condition's two sides, once; the family values come from the hull
-    assert len(calls) == 2 * len(conditions)
+    # each condition's gap, once; the family values come from the hull
+    assert [id(phi) for phi in calls] == [id(cond.gap) for cond in conditions]
     assert not any(phi is f for phi in calls for f in algebra_hull.family.formulas)
     table = {(x,): F(x) for x in range(4)}
     with pytest.raises(NotAffineError):
         exposed_face(algebra_hull, table)
-    assert len(calls) == 2 * len(conditions)
+    assert len(calls) == len(conditions)
 
 
 # ---------------------------------------------------------------------------
