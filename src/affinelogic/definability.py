@@ -17,7 +17,14 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .model import FiniteStructure, automorphisms, eval_table, first_violating_pair, row_major
-from .typespace import FormulaFamily, TypeVector, factor_through_hull, family_tables, type_hull
+from .typespace import (
+    FormulaFamily,
+    TypeVector,
+    factor_through_hull,
+    mixture_type,
+    realized_type,
+    type_hull,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,8 +104,16 @@ def _tuples(M: FiniteStructure, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(M.size), repeat=n))
 
 
-def _normalize_set(D, n: int | None = None) -> tuple[frozenset[tuple[int, ...]], int]:
-    tuples = frozenset(tuple(a) for a in D)
+def _normalize_set(
+    M: FiniteStructure, D, n: int | None = None
+) -> tuple[frozenset[tuple[int, ...]], int]:
+    members = [tuple(a) for a in D]
+    for a in members:
+        if not all(isinstance(x, int) and 0 <= x < M.size for x in a):
+            raise DefinabilityError(
+                f"set member {a} is not a tuple of element indices below {M.size}"
+            )
+    tuples = frozenset(members)
     if tuples:
         arities = {len(a) for a in tuples}
         if len(arities) != 1:
@@ -154,7 +169,7 @@ def distance_predicate(
     constant sup of the tuple metric (n times the diameter), the value of
     an infimum over nothing in this calculus.
     """
-    tuples, n = _normalize_set(D, n)
+    tuples, n = _normalize_set(M, D, n)
     if not tuples:
         top = Fraction(n) * M.diameter()
         return PredicateTable(n, {a: top for a in _tuples(M, n)})
@@ -431,7 +446,7 @@ def inf_over_definable(
     lam = Fraction(lam)
     if lam < 0:
         raise DefinabilityError("lam must be nonnegative")
-    tuples_D, n = _normalize_set(D, n)
+    tuples_D, n = _normalize_set(M, D, n)
     if not tuples_D:
         raise DefinabilityError("D must be nonempty")
     values = validate_predicate(M, P)
@@ -495,7 +510,7 @@ def check_graph_identities(M: FiniteStructure, f: FunctionTable) -> GraphIdentit
     Every distance is an int numerator over the common denominator of the
     int metric (see `FiniteStructure.int_metric`), as in `distance_predicate`.
     """
-    graph, _ = _normalize_set(function_graph(M, f), f.arity_in + f.arity_out)
+    graph, _ = _normalize_set(M, function_graph(M, f), f.arity_in + f.arity_out)
     d, _ = M.int_metric
     xs = _tuples(M, f.arity_in)
     ys = _tuples(M, f.arity_out)
@@ -541,13 +556,9 @@ def invariant_type(M: FiniteStructure, f: FunctionTable, family: FormulaFamily) 
         path.append(x)
         x = f.table[(x,)][0]
     cycle = path[seen[x]:]
-    w = Fraction(1, len(cycle))
-    witness = {(c,): w for c in cycle}
-    tables = family_tables(M, family)
-    values = tuple(
-        sum((w * tbl[(c,)] for c in cycle), start=ZERO) for tbl in tables
+    return mixture_type(
+        [realized_type(M, (c,), family) for c in cycle], [Fraction(1, len(cycle))] * len(cycle)
     )
-    return TypeVector(family, values, witness=witness, structure=M)
 
 
 def pushforward(

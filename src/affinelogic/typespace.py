@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -96,22 +97,24 @@ class TypeVector:
     witness: dict[tuple[int, ...], Fraction] | None = None
     structure: FiniteStructure | None = None
 
+    def __post_init__(self):
+        if len(self.values) != len(self.family):
+            raise TypespaceError(
+                f"expected {len(self.family)} values, one per family formula, "
+                f"got {len(self.values)}"
+            )
+
 
 def _check_tuple(M: FiniteStructure, a: Sequence[int], n: int) -> tuple[int, ...]:
     a = tuple(a)
     if len(a) != n:
         raise TypespaceError(f"expected a {n}-tuple, got {len(a)} coordinates")
     for x in a:
+        if not isinstance(x, int):
+            raise TypespaceError(f"element index {x!r} is not an int")
         if not 0 <= x < M.size:
             raise TypespaceError(f"element index {x} out of range")
     return a
-
-
-def family_tables(
-    M: FiniteStructure, family: FormulaFamily
-) -> list[dict[tuple[int, ...], Fraction]]:
-    """Evaluation table of each family formula over all assignment tuples."""
-    return [eval_table(M, phi, family.variables) for phi in family.formulas]
 
 
 def realized_type(M: FiniteStructure, a: Sequence[int], family: FormulaFamily) -> TypeVector:
@@ -344,12 +347,6 @@ class ExposedFace:
     optimum: Fraction
 
 
-def _score(fn: tuple[Fraction, tuple[Fraction, ...]], p: Sequence[Fraction]) -> Fraction:
-    """The affine functional offset + coeffs . p at the point p."""
-    c0, cs = fn
-    return c0 + sum((c * x for c, x in zip(cs, p)), start=ZERO)
-
-
 def exposed_face(
     hull: TypeHull,
     table: Mapping[tuple[int, ...], Fraction],
@@ -361,7 +358,8 @@ def exposed_face(
     NotAffineError carries the failure certificate).  Returns the vertices
     attaining the minimum (or maximum), or flags the whole hull when the
     induced functional is constant on it.  The table must cover every
-    tuple of the family's arity.
+    tuple of the family's arity.  Once it factors, the functional's value
+    at a vertex is the table's value at the vertex's first realization.
     """
     n = hull.family.arity
     if row_major(table, hull.structure.size, n) is None:
@@ -371,8 +369,8 @@ def exposed_face(
     c0, cs = _affine_in_family(
         hull, table, "predicate does not factor affinely through the family"
     )
-    scores = [_score((c0, cs), v.values) for v in hull.vertices]
-    best = max(scores) if maximize else min(scores)
+    scores = [table[reals[0]] for reals in hull.realizations]
+    best = Fraction(max(scores) if maximize else min(scores))
     if all(s == best for s in scores):
         return ExposedFace(True, tuple(range(len(scores))), c0, cs, best)
     idx = tuple(i for i, s in enumerate(scores) if s == best)
@@ -404,25 +402,6 @@ class FaceReport:
         return self.is_face
 
 
-def condition_functionals(
-    hull: TypeHull, conditions: Sequence[Condition]
-) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Each condition lhs <= rhs becomes the functional (rhs - lhs) >= 0,
-    expressed affinely in family coordinates."""
-    out = []
-    for cond in conditions:
-        fv = cond.free_vars() - set(hull.family.variables)
-        if fv:
-            raise TypespaceError(
-                f"condition uses variables outside the family tuple: {sorted(fv)}"
-            )
-        out.append(_affine_in_family(
-            hull, eval_table(hull.structure, cond.gap, hull.family.variables),
-            "condition is not affine in the family coordinates",
-        ))
-    return out
-
-
 def is_face(hull: TypeHull, conditions: Sequence[Condition]) -> FaceReport:
     """Decide whether the condition set cuts a face of the hull.
 
@@ -430,27 +409,31 @@ def is_face(hull: TypeHull, conditions: Sequence[Condition]) -> FaceReport:
     face exactly when no strict convex combination of two hull points lands
     in the cut while an endpoint stays outside; a violating pair (with the
     mixing weight 1/2) is returned otherwise.  The empty condition set cuts
-    the whole hull.
+    the whole hull.  Each condition lhs <= rhs must have a gap rhs - lhs
+    that factors affinely through the family; its value at a vertex is then
+    the gap at the vertex's first realization.
     """
-    functionals = condition_functionals(hull, conditions)
-    return face_check_functionals(hull, functionals)
-
-
-def face_check_functionals(
-    hull: TypeHull, functionals: Sequence[tuple[Fraction, tuple[Fraction, ...]]]
-) -> FaceReport:
-    values = hull.vertex_values()
-    nv, nf = len(values), len(functionals)
-    # each functional's vertex scores as int numerators over their lcm
-    scores = [linalg.int_row([_score(fn, v) for v in values]) for fn in functionals]
+    variables = hull.family.variables
+    # each condition's vertex scores as int numerators over their lcm
+    scores = []
+    for cond in conditions:
+        fv = cond.free_vars() - set(variables)
+        if fv:
+            raise TypespaceError(
+                f"condition uses variables outside the family tuple: {sorted(fv)}"
+            )
+        gap = eval_table(hull.structure, cond.gap, variables)
+        _affine_in_family(hull, gap, "condition is not affine in the family coordinates")
+        scores.append(linalg.int_row([gap[reals[0]] for reals in hull.realizations]))
+    nv, nf = len(hull), len(scores)
     cut_vertices = tuple(i for i in range(nv) if all(nums[i] >= 0 for nums, _ in scores))
-    if not functionals:
+    if not scores:
         return FaceReport(True, cut_vertices)
 
     # Variables: alpha (first endpoint), beta (second), one slack per
-    # functional.  Constraints keep the midpoint inside the cut; minimizing
-    # one functional at the alpha endpoint probes for a violation.
-    # Midpoints suffice for closed convex cuts of a polytope.  Functional j's
+    # condition.  Constraints keep the midpoint inside the cut; minimizing
+    # one condition's score at the alpha endpoint probes for a violation.
+    # Midpoints suffice for closed convex cuts of a polytope.  Condition j's
     # row is its scores at both endpoints, -den in its slack column, over den.
     inputs = [[1] * nv + [0] * (nv + nf) + [1], [0] * nv + [1] * nv + [0] * nf + [1]]
     dens = [1, 1]
@@ -499,37 +482,6 @@ class SatisfiabilityResult:
         return self.satisfiable
 
 
-def affine_satisfiable_tables(
-    tuples: Sequence[tuple[int, ...]],
-    gaps: Sequence[Mapping[tuple[int, ...], Fraction]],
-) -> SatisfiabilityResult:
-    """Core dichotomy on tables; gaps[i][a] is rhs_i(a) - lhs_i(a)."""
-    tuples = list(tuples)
-    if not tuples:
-        raise TypespaceError("need at least one tuple")
-    na = len(tuples)
-    nc = len(gaps)
-    # convexity over 1, then each gap row over the lcm den of its values,
-    # with -den in its slack column
-    inputs, dens = [[1] * na + [0] * nc + [1]], [1]
-    for i, g in enumerate(gaps):
-        nums, den = linalg.int_row([g[a] for a in tuples])
-        row = nums + [0] * (nc + 1)
-        row[na + i] = -den
-        inputs.append(row)
-        dens.append(den)
-    res = solve_int(inputs, dens, [0] * (na + nc), 1)
-    if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
-        witness = {a: w for a, w in zip(tuples, res.x[:na]) if w != 0}
-        return SatisfiabilityResult(True, witness=witness)
-    y = res.farkas
-    coeffs = tuple(y[1 + i] for i in range(nc))
-    margin = max(
-        sum((coeffs[i] * gaps[i][a] for i in range(nc)), start=ZERO) for a in tuples
-    )
-    return SatisfiabilityResult(False, farkas=coeffs, margin=margin)
-
-
 def affine_satisfiable(
     M: FiniteStructure,
     conditions: Sequence[Condition],
@@ -558,8 +510,26 @@ def affine_satisfiable(
     tuples = list(itertools.product(range(M.size), repeat=n))
     if not conditions:
         return SatisfiabilityResult(True, witness={tuples[0]: ONE})
-    gaps = [eval_table(M, cond.gap, variables) for cond in conditions]
-    return affine_satisfiable_tables(tuples, gaps)
+    na, nc = len(tuples), len(conditions)
+    # convexity over 1, then each gap's int table over its denominator (the
+    # least common one: the gap's plan divides by the gcd), with -den in its
+    # slack column
+    gaps = [int_table(M, cond.gap, variables) for cond in conditions]
+    inputs, dens = [[1] * na + [0] * nc + [1]], [1]
+    for i, (nums, den) in enumerate(gaps):
+        row = nums + [0] * (nc + 1)
+        row[na + i] = -den
+        inputs.append(row)
+        dens.append(den)
+    res = solve_int(inputs, dens, [0] * (na + nc), 1)
+    if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
+        witness = {a: w for a, w in zip(tuples, res.x[:na]) if w != 0}
+        return SatisfiabilityResult(True, witness=witness)
+    coeffs = tuple(res.farkas[1:nc + 1])
+    # the combined gap sum_i coeffs[i] * nums_i / den_i, as ints over one lcm
+    ws, lcm = linalg.int_row([c / den for c, (_, den) in zip(coeffs, gaps)])
+    combined = [sum(map(mul, ws, col)) for col in zip(*[nums for nums, _ in gaps])]
+    return SatisfiabilityResult(False, farkas=coeffs, margin=Fraction(max(combined), lcm))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,10 @@ from affinelogic.syntax import One, parse_formula
 from affinelogic.typespace import (
     FormulaFamily,
     TypespaceError,
-    affine_satisfiable_tables,
     exposed_face,
     type_hull,
 )
+from test_typespace import _ref_affine_satisfiable_tables
 
 ZERO = F(0)
 ONE = F(1)
@@ -88,6 +88,23 @@ def test_distance_predicate_empty_set_is_constant_top(A2):
 def test_distance_predicate_rejects_mixed_arities(A2):
     with pytest.raises(DefinabilityError):
         distance_predicate(A2, {(0,), (0, 1)})
+
+
+@pytest.mark.parametrize("member", [(-1,), (2,), (0.0,)])
+def test_set_members_outside_the_structure_are_refused(member):
+    M = build_algebra([ONE]).to_structure()
+    P = predicate_from_formula(M, parse_formula("d(x, y)", M.signature()), ("x", "y"))
+    into = FunctionTable(1, 1, ONE, {(0,): (0,), (1,): member})
+    for call, bad in (
+        (lambda: distance_predicate(M, {member}), member),
+        (lambda: is_definable_set(M, {member}, mu_family(M)), member),
+        (lambda: inf_over_definable(M, {member}, P, ONE), member),
+        (lambda: check_graph_identities(M, into), (1, *member)),
+    ):
+        with pytest.raises(DefinabilityError) as info:
+            call()
+        assert type(info.value) is DefinabilityError
+        assert str(info.value) == f"set member {bad} is not a tuple of element indices below 2"
 
 
 def test_distance_axioms_hold_for_distance_tables(A2):
@@ -167,7 +184,7 @@ def _reference_axioms(M, P):
             {y: -values[y] for y in tuples},
             {y: values[a] - M.tuple_distance(a, y) for y in tuples},
         ]
-        if not affine_satisfiable_tables(tuples, gaps).satisfiable:
+        if not _ref_affine_satisfiable_tables(tuples, gaps).satisfiable:
             return nonexp, a
     return nonexp, None
 
@@ -259,7 +276,7 @@ def test_inf_over_definable_lipschitz_matches_all_pairs(case):
 
 
 def _ref_distance_predicate(M, D, n=None):
-    tuples, n = _normalize_set(D, n)
+    tuples, n = _normalize_set(M, D, n)
     if not tuples:
         top = F(n) * M.diameter()
         return PredicateTable(n, {a: top for a in _tuples(M, n)})
@@ -323,7 +340,7 @@ def _ref_inf_over_definable(M, D, P, lam, n=None):
     lam = F(lam)
     if lam < 0:
         raise DefinabilityError("lam must be nonnegative")
-    tuples_D, n = _normalize_set(D, n)
+    tuples_D, n = _normalize_set(M, D, n)
     if not tuples_D:
         raise DefinabilityError("D must be nonempty")
     validate_predicate(M, P)

@@ -11,10 +11,11 @@ from affinelogic.linalg import (
     FactorResult,
     LinalgError,
     gauss_solve,
+    int_row,
     matrix_rank,
 )
-from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_standard
-from affinelogic.model import FiniteStructure, RelationInterp, StructureError, eval_table
+from affinelogic.linprog import INFEASIBLE, OPTIMAL, solve_int, solve_standard
+from affinelogic.model import FiniteStructure, RelationInterp, StructureError, eval_table, row_major
 from affinelogic.pra import build_algebra
 from affinelogic.sampling import random_formula, random_hull_structure, random_structure
 from affinelogic.suites import oracle_extreme
@@ -32,6 +33,7 @@ from affinelogic.syntax import (
 from affinelogic.typespace import (
     BoundaryMeasure,
     DecompositionError,
+    ExposedFace,
     ExtremeReport,
     ExtremeVertex,
     FaceReport,
@@ -40,20 +42,18 @@ from affinelogic.typespace import (
     NonExtremeVertex,
     NonUniqueDecompositionError,
     NotAffineError,
+    SatisfiabilityResult,
     TypeHull,
     TypeVector,
     TypespaceError,
     _Internal,
+    _affine_in_family,
     _lp_status,
-    _score,
     affine_satisfiable,
     barycenter,
-    condition_functionals,
     exposed_face,
     extreme_points,
-    face_check_functionals,
     factor_through_hull,
-    family_tables,
     is_face,
     keisler_decompose,
     mixture_type,
@@ -318,11 +318,7 @@ def test_is_face_rejects_interior_slice(algebra_hull):
     assert v.inside == (F(1, 2),)
     assert v.gamma == F(1, 2)
     # the violating endpoint really leaves the cut
-    c0, cs = None, None
-    from affinelogic.typespace import condition_functionals
-
-    fns = condition_functionals(hull, conds)
-    c0, cs = fns[v.functional_index]
+    c0, cs = _ref_condition_functionals(hull, conds)[v.functional_index]
     assert c0 + sum(c * x for c, x in zip(cs, v.endpoint)) < 0
     mid = tuple(
         v.gamma * e + (1 - v.gamma) * p for e, p in zip(v.endpoint, v.partner)
@@ -482,6 +478,7 @@ def test_type_distance_refuses_a_bad_witness():
         ({(0,): F(3, 2), (1,): F(-1, 2)}, weights),
         ({(0, 1): ONE}, "expected a 1-tuple, got 2 coordinates"),
         ({(2,): ONE}, "element index 2 out of range"),
+        ({(1.0,): ONE}, "element index 1.0 is not an int"),
     ):
         p = TypeVector(family, (ZERO,), witness, M)
         for left, right in ((p, q), (q, p)):
@@ -490,6 +487,29 @@ def test_type_distance_refuses_a_bad_witness():
             # bad input, not the internal error of a failed LP re-check
             assert type(info.value) is TypespaceError
             assert str(info.value) == message
+
+
+def test_realized_type_refuses_a_coordinate_that_is_not_an_int():
+    M = fo_structure([(0,), (1,)])
+    family = FormulaFamily(("x",), (parse_formula("R0(x)", M.signature()),))
+    with pytest.raises(TypespaceError) as info:
+        realized_type(M, (1.0,), family)
+    assert type(info.value) is TypespaceError
+    assert str(info.value) == "element index 1.0 is not an int"
+
+
+def test_type_vector_refuses_a_length_other_than_the_family():
+    # keisler_decompose and mixture_type index the values by family formula
+    M = fo_structure([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    family = FormulaFamily(
+        ("x",), tuple(parse_formula(f"R{c}(x)", M.signature()) for c in range(3))
+    )
+    assert TypeVector(family, (ONE, ZERO, ZERO)).values == (ONE, ZERO, ZERO)
+    for values in ((), (ONE,), (ONE, ZERO), (ONE, ZERO, ZERO, ONE)):
+        with pytest.raises(TypespaceError) as info:
+            TypeVector(family, values)
+        assert type(info.value) is TypespaceError
+        assert str(info.value) == f"expected 3 values, one per family formula, got {len(values)}"
 
 
 def test_type_distance_triangle_and_symmetry_random():
@@ -519,12 +539,64 @@ def test_type_distance_triangle_and_symmetry_random():
 # the names carry a _ref_ prefix.
 
 
+def _ref_score(fn, p):
+    """typespace._score as it was before vertex scores were looked up in
+    the factored table, kept verbatim (renamed)."""
+    c0, cs = fn
+    return c0 + sum((c * x for c, x in zip(cs, p)), start=ZERO)
+
+
+def _ref_condition_functionals(hull, conditions):
+    """typespace.condition_functionals as it was before is_face read each
+    condition's gap at the vertices' first realizations, kept verbatim
+    (renamed)."""
+    out = []
+    for cond in conditions:
+        fv = cond.free_vars() - set(hull.family.variables)
+        if fv:
+            raise TypespaceError(
+                f"condition uses variables outside the family tuple: {sorted(fv)}"
+            )
+        out.append(_affine_in_family(
+            hull, eval_table(hull.structure, cond.gap, hull.family.variables),
+            "condition is not affine in the family coordinates",
+        ))
+    return out
+
+
+def _ref_exposed_face(hull, table, maximize=False):
+    """typespace.exposed_face as it was before it looked its vertex scores
+    up in the table, kept verbatim (renamed)."""
+    n = hull.family.arity
+    if row_major(table, hull.structure.size, n) is None:
+        raise TypespaceError(
+            f"predicate table must cover all {hull.structure.size ** n} tuples of arity {n}"
+        )
+    c0, cs = _affine_in_family(
+        hull, table, "predicate does not factor affinely through the family"
+    )
+    scores = [_ref_score((c0, cs), v.values) for v in hull.vertices]
+    best = max(scores) if maximize else min(scores)
+    if all(s == best for s in scores):
+        return ExposedFace(True, tuple(range(len(scores))), c0, cs, best)
+    idx = tuple(i for i, s in enumerate(scores) if s == best)
+    return ExposedFace(False, idx, c0, cs, best)
+
+
+def _outcome(call):
+    """The call's result, or its refusal as (class, message, certificate)."""
+    try:
+        return call()
+    except TypespaceError as exc:
+        return type(exc), str(exc), getattr(exc, "certificate", None)
+
+
 def _ref_face_check_functionals(hull, functionals):
     values = hull.vertex_values()
     nv = len(values)
     cut_vertices = tuple(
         i for i, v in enumerate(values)
-        if all(_score(fn, v) >= 0 for fn in functionals)
+        if all(_ref_score(fn, v) >= 0 for fn in functionals)
     )
     if not functionals:
         return FaceReport(True, cut_vertices)
@@ -533,7 +605,7 @@ def _ref_face_check_functionals(hull, functionals):
     # midpoint inside the cut; minimizing one functional at the alpha
     # endpoint probes for a violation.  Midpoints suffice for closed convex
     # cuts of a polytope.
-    vertex_scores = [[_score(fn, v) for v in values] for fn in functionals]
+    vertex_scores = [[_ref_score(fn, v) for v in values] for fn in functionals]
     nf = len(functionals)
     rows = []
     rhs = []
@@ -606,6 +678,18 @@ def _mixture(points, weights):
     return mixture_type([points[i] for i in used], [weights[i] for i in used])
 
 
+def _functional_conditions(family, functionals):
+    """Each functional (c0, cs) as the condition
+    (-c0) * 1 + sum_j (-c_j) * F_j <= 0 * 1, whose gap is c0 + cs . F."""
+    out = []
+    for c0, cs in functionals:
+        lhs = Scale(-c0, One())
+        for c, phi in zip(cs, family.formulas):
+            lhs = Sum(lhs, Scale(-c, phi))
+        out.append(Condition(lhs, Scale(ZERO, One())))
+    return out
+
+
 def _face_case(M, family, conditions, functionals, p_weights, q_weights):
     points = [realized_type(M, (i,), family) for i in range(M.size)]
     hull = type_hull(M, 1, family)
@@ -633,9 +717,10 @@ _SMALL = st.sampled_from([F(-2), -ONE, F(-1, 2), ZERO, F(1, 3), F(1, 2), ONE, F(
 def _face_cases(draw):
     """A random structure on 1-4 points with 1-3 random family formulas in
     x, its hull, 1-3 conditions sum_j c_j * F_j <= c_0 * 1 (affine in the
-    family, so is_face accepts them), each one possibly with its reverse
-    (an equality slice), 1-3 drawn functionals, and two random mixtures of
-    the realized types."""
+    family, so is_face accepts them; one in five has a random formula on
+    the left, which may not be), each one possibly with its reverse (an
+    equality slice), 1-3 drawn functionals, and two random mixtures of the
+    realized types."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     M = random_structure(rng, max_size=4)
     sig = M.signature()
@@ -646,6 +731,8 @@ def _face_cases(draw):
         lhs = Scale(draw(_SMALL), family.formulas[0])
         for phi in family.formulas[1:]:
             lhs = Sum(lhs, Scale(draw(_SMALL), phi))
+        if draw(st.integers(0, 4)) == 0:
+            lhs = random_formula(rng, sig, ("x",), depth=2)
         rhs = Scale(draw(_SMALL), One())
         conditions.append(Condition(lhs, rhs))
         if draw(st.booleans()):
@@ -666,9 +753,11 @@ def _face_cases(draw):
 @example(_UNEQUAL_SUPPORTS)
 def test_face_and_transport_lps_match_fraction_rows(case):
     hull, conditions, functionals, p, q = case
-    expected = _ref_face_check_functionals(hull, condition_functionals(hull, conditions))
-    assert is_face(hull, conditions) == expected
-    assert face_check_functionals(hull, functionals) == _ref_face_check_functionals(hull, functionals)
+    expected = _outcome(
+        lambda: _ref_face_check_functionals(hull, _ref_condition_functionals(hull, conditions)))
+    assert _outcome(lambda: is_face(hull, conditions)) == expected
+    expected = _ref_face_check_functionals(hull, functionals)
+    assert is_face(hull, _functional_conditions(hull.family, functionals)) == expected
     assert type_distance(p, q) == _ref_type_distance(p, q)
     assert type_distance(q, p) == _ref_type_distance(q, p)
 
@@ -677,10 +766,80 @@ def test_face_differential_examples_cover_a_violation():
     hull, conditions, functionals, p, q = _MULTI_CUT
     rep = is_face(hull, conditions)
     assert not rep.is_face and rep.violation.functional_index == 0
-    assert rep == _ref_face_check_functionals(hull, condition_functionals(hull, conditions))
-    assert not face_check_functionals(hull, functionals).is_face
+    assert rep == _ref_face_check_functionals(hull, _ref_condition_functionals(hull, conditions))
+    assert not is_face(hull, _functional_conditions(hull.family, functionals)).is_face
     assert len(p.witness) == 1 and len(q.witness) == 3
     assert len(_UNEQUAL_SUPPORTS[3].witness) == 1 and len(_UNEQUAL_SUPPORTS[4].witness) == 3
+
+
+# ---------------------------------------------------------------------------
+# affine satisfiability on the evaluator's int tables, against the Fraction
+# tables it replaced
+
+
+def _ref_affine_satisfiable_tables(tuples, gaps):
+    """typespace.affine_satisfiable_tables as it was before affine_satisfiable
+    put int_table rows into its LP, kept verbatim (renamed)."""
+    tuples = list(tuples)
+    if not tuples:
+        raise TypespaceError("need at least one tuple")
+    na = len(tuples)
+    nc = len(gaps)
+    # convexity over 1, then each gap row over the lcm den of its values,
+    # with -den in its slack column
+    inputs, dens = [[1] * na + [0] * nc + [1]], [1]
+    for i, g in enumerate(gaps):
+        nums, den = int_row([g[a] for a in tuples])
+        row = nums + [0] * (nc + 1)
+        row[na + i] = -den
+        inputs.append(row)
+        dens.append(den)
+    res = solve_int(inputs, dens, [0] * (na + nc), 1)
+    if _lp_status(res, OPTIMAL, INFEASIBLE) == OPTIMAL:
+        witness = {a: w for a, w in zip(tuples, res.x[:na]) if w != 0}
+        return SatisfiabilityResult(True, witness=witness)
+    y = res.farkas
+    coeffs = tuple(y[1 + i] for i in range(nc))
+    margin = max(
+        sum((coeffs[i] * gaps[i][a] for i in range(nc)), start=ZERO) for a in tuples
+    )
+    return SatisfiabilityResult(False, farkas=coeffs, margin=margin)
+
+
+@st.composite
+def _satisfiability_cases(draw):
+    """A random structure on 2-4 points, 1-2 variables, and 1-4 conditions
+    lhs <= rhs + c * 1 between random formulas, c drawn."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    M = random_structure(rng, max_size=4)
+    sig = M.signature()
+    variables = ("x", "y")[:draw(st.integers(1, 2))]
+    conditions = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = random_formula(rng, sig, variables, depth=2)
+        rhs = random_formula(rng, sig, variables, depth=2)
+        conditions.append(Condition(lhs, Sum(rhs, Scale(draw(_SMALL), One()))))
+    return M, variables, conditions
+
+
+_TWO_POINTS = build_algebra([ONE]).to_structure()
+# refuted, as in test_affine_satisfiable_refutation_certificate
+_REFUTED = (_TWO_POINTS, ("x",), [parse_condition(text, _TWO_POINTS.signature())
+                                  for text in ("1 <= mu(x)", "mu(x) <= 0 * 1")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_satisfiability_cases())
+@example(_REFUTED)
+def test_affine_satisfiable_matches_the_fraction_tables(case):
+    M, variables, conditions = case
+    tuples = list(itertools.product(range(M.size), repeat=len(variables)))
+    gaps = [eval_table(M, cond.gap, variables) for cond in conditions]
+    res = affine_satisfiable(M, conditions, variables)
+    expected = _ref_affine_satisfiable_tables(tuples, gaps)
+    # satisfiable, witness, Farkas vector and margin, and the witness order
+    assert res == expected
+    assert list((res.witness or {}).items()) == list((expected.witness or {}).items())
 
 
 def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
@@ -693,13 +852,14 @@ def test_unexpected_lp_status_is_an_error_not_none(monkeypatch):
     p = realized_type(M, (0,), family)
     q = realized_type(M, (1,), family)
     hull = type_hull(M, 1, family)
+    cond = parse_condition("R0(x) <= 1", M.signature())
     monkeypatch.setattr(typespace, "solve_int", lambda *args: SimplexResult(UNBOUNDED))
     with pytest.raises(TypespaceError, match="unbounded"):
         extreme_points(hull)
     with pytest.raises(TypespaceError, match="unbounded"):
-        typespace.face_check_functionals(hull, [(ZERO, (ONE,))])
+        is_face(hull, [cond])
     with pytest.raises(TypespaceError, match="unbounded"):
-        typespace.affine_satisfiable_tables([(0,)], [])
+        affine_satisfiable(M, [cond])
     with pytest.raises(TypespaceError, match="unbounded"):
         type_distance(p, q)
 
@@ -740,7 +900,7 @@ def _ref_factor_table_through_family(M, table, family):
     """typespace.factor_table_through_family as it was, kept verbatim
     (renamed): every family formula evaluated again, the tuples grouped
     again."""
-    tables = family_tables(M, family)
+    tables = [eval_table(M, phi, family.variables) for phi in family.formulas]
     keys = sorted(table)
     points = [tuple(tbl[a] for tbl in tables) for a in keys]
     values = [table[a] for a in keys]
@@ -766,7 +926,7 @@ def _factor_cases(draw):
     if kind == "drawn":
         return M, family, {a: draw(_TABLE_VALUES) for a in tuples}
     c0, cs = draw(_TABLE_VALUES), [draw(_TABLE_VALUES) for _ in range(k)]
-    tables = family_tables(M, family)
+    tables = [eval_table(M, phi, family.variables) for phi in family.formulas]
     table = {a: c0 + sum((c * t[a] for c, t in zip(cs, tables)), start=ZERO) for a in tuples}
     if kind == "moved":
         table[draw(st.sampled_from(tuples))] += draw(st.sampled_from([F(1, 2), ONE]))
@@ -786,8 +946,11 @@ def test_factor_through_hull_matches_the_family_path(case):
     M, family, table = case
     hull = type_hull(M, family.arity, family)
     assert factor_through_hull(hull, table) == _ref_factor_table_through_family(M, table, family)
+    for maximize in (False, True):
+        assert _outcome(lambda: exposed_face(hull, table, maximize)) == _outcome(
+            lambda: _ref_exposed_face(hull, table, maximize))
     # the hull groups the tuples by their Fraction vectors, in first-occurrence order
-    tables = family_tables(M, family)
+    tables = [eval_table(M, phi, family.variables) for phi in family.formulas]
     vectors = {a: tuple(t[a] for t in tables) for a in table}
     assert [v.values for v in hull.vertices] == list(dict.fromkeys(vectors.values()))
     assert [[vectors[a] for a in reals] for reals in hull.realizations] == [
