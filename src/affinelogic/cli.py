@@ -32,7 +32,7 @@ from .definability import (
 )
 from .errors import AffineLogicError
 from .mean import Ultracharge, build_ultramean, check_ultramean_identity
-from .model import FiniteStructure, automorphisms, eval_formula, validate_structure
+from .model import DEFAULT_CAP, FiniteStructure, automorphisms, eval_formula, validate_structure
 from .pra import (
     AdditiveFunction,
     MeasureAlgebra,
@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", required=True, help="formula list file")
             p.add_argument("--vars", help="comma-separated family variables")
         if cap:
-            p.add_argument("--cap", type=int, default=4096, help="size cap")
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="size cap")
         return p
 
     p = command(sub, "parse", cmd_parse, "parse and re-render a formula")

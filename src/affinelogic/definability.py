@@ -107,9 +107,9 @@ def _tuples(M: FiniteStructure, n: int) -> list[tuple[int, ...]]:
 def _normalize_set(
     M: FiniteStructure, D, n: int | None = None
 ) -> tuple[frozenset[tuple[int, ...]], int]:
-    members = [tuple(a) for a in D]
+    members = list(D)
     for a in members:
-        if not all(isinstance(x, int) and 0 <= x < M.size for x in a):
+        if not (isinstance(a, tuple) and all(isinstance(x, int) and 0 <= x < M.size for x in a)):
             raise DefinabilityError(
                 f"set member {a} is not a tuple of element indices below {M.size}"
             )
@@ -340,19 +340,13 @@ def lambda_domination(
         raise DefinabilityError("eps must be nonnegative")
     if P.arity != Q.arity:
         raise DefinabilityError("P and Q must share an arity")
-    validate_predicate(M, P)
-    validate_predicate(M, Q)
-    for a in sorted(P.values):
-        if P.values[a] == 0 and Q.values[a] > 0:
+    rows = list(zip(_tuples(M, P.arity), validate_predicate(M, P), validate_predicate(M, Q)))
+    for a, p, q in rows:
+        if p == 0 and q > 0:
             return DominationResult(False, witness=a)
-    lam = ZERO
-    for a, pv in P.values.items():
-        if pv > 0:
-            need = (Q.values[a] - eps) / pv
-            if need > lam:
-                lam = need
-    for a in P.values:
-        if Q.values[a] > lam * P.values[a] + eps:
+    lam = max([ZERO] + [(q - eps) / p for _, p, q in rows if p > 0])
+    for a, p, q in rows:
+        if q > lam * p + eps:
             raise _Internal(f"domination bound {lam} fails at {a}")
     return DominationResult(True, lam=lam)
 

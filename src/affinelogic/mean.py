@@ -3,10 +3,11 @@
 Given factors M_1, ..., M_k and rational probability weights mu, the mean
 structure lives on the product domain modulo the pseudometric
 sum_i mu_i * d_i, so a class is a tuple over the support of mu; constants
-and functions act coordinatewise, and the metric and every relation are
-averaged by one rule.  The point of the construction: every formula's value
-at a class equals the mu-weighted average of its values in the factors,
-exactly.
+and functions act coordinatewise.  The metric, every relation and every
+function are averaged by one rule; functions too, because a class's index
+is a weighted sum of its coordinates.  The point of the construction:
+every formula's value at a class equals the mu-weighted average of its
+values in the factors, exactly.
 """
 
 from __future__ import annotations
@@ -19,12 +20,19 @@ from typing import Mapping, Sequence
 
 from .errors import AffineLogicError
 from .linalg import fractions_over, int_row
-from .model import FiniteStructure, FunctionInterp, RelationInterp, eval_formula, sorted_free_vars
+from .model import (
+    DEFAULT_CAP,
+    FiniteStructure,
+    FunctionInterp,
+    RelationInterp,
+    StructureError,
+    eval_formula,
+    row_major,
+    sorted_free_vars,
+)
 from .syntax import Formula
 
 ZERO = Fraction(0)
-
-DEFAULT_CAP = 4096
 
 
 class MeanError(AffineLogicError, ValueError):
@@ -127,21 +135,18 @@ def build_ultramean(
         dup = next(label for label in labels if labels.count(label) > 1)
         raise MeanError(f"two classes share the label {dup!r}")
 
-    # Every stored value is sum_i mu_i * v_i over the support, accumulated
-    # from the factors' int forms as an int numerator over wden * lcm(their
-    # denominators), then reduced by the table's gcd, with one Fraction per
-    # distinct numerator.
     w, wden = int_row([mu.weights[i] for i in support])
     size = len(keys)
     gathers: dict[int, list[list[int]]] = {}
 
-    def average(forms, arity: int) -> tuple[tuple[int, ...], int]:
-        """The mean of the support factors' row-major (nums, den) tables at
-        every quotient tuple of the arity, in product order, as int_row of
-        its values: int numerators over their least common denominator."""
+    def average(forms, arity: int, weights, wden: int) -> tuple[tuple[int, ...], int]:
+        """sum_j weights[j] * v_j / wden at every quotient tuple of the arity,
+        in product order, with v_j read from the j-th support factor's
+        row-major (nums, den) table, as int_row gives it: int numerators over
+        their least common denominator."""
         if arity not in gathers:
             # each factor's row-major index of every quotient tuple, built
-            # once per arity: the metric and the binary relations share one
+            # once per arity: the metric, relations and functions share them
             gathers[arity] = []
             for j, M in enumerate(factors):
                 m, coord, idx = M.size, [key[j] for key in keys], [0]
@@ -150,7 +155,7 @@ def build_ultramean(
                 gathers[arity].append(idx)
         den = math.lcm(*[d for _, d in forms])
         nums = [0] * size ** arity
-        for wi, (t, d), idx in zip(w, forms, gathers[arity]):
+        for wi, (t, d), idx in zip(weights, forms, gathers[arity]):
             s = wi * (den // d)
             nums = [n + s * t[j] for n, j in zip(nums, idx)]
         den *= wden
@@ -160,15 +165,16 @@ def build_ultramean(
     def rows(flat) -> tuple:
         return tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
 
+    def tabulate(arity: int, values) -> dict:
+        return dict(zip(itertools.product(range(size), repeat=arity), values))
+
     metrics = [M.int_metric for M in factors]
-    dist, dist_den = average([([x for row in d for x in row], D) for d, D in metrics], 2)
-    int_relations = {name: average([M.int_relations[name] for M in factors], info.arity)
+    dist, dist_den = average([([x for row in d for x in row], D) for d, D in metrics], 2, w, wden)
+    int_relations = {name: average([M.int_relations[name] for M in factors], info.arity, w, wden)
                      for name, info in sigs[0].relations.items()}
     relations = {
-        name: RelationInterp(info.arity, info.lam, dict(zip(
-            itertools.product(range(size), repeat=info.arity),
-            fractions_over(*int_relations[name]),
-        )))
+        name: RelationInterp(info.arity, info.lam,
+                             tabulate(info.arity, fractions_over(*int_relations[name])))
         for name, info in sigs[0].relations.items()
     }
 
@@ -177,13 +183,16 @@ def build_ultramean(
         for name in sigs[0].constants
     }
 
+    # the class of coordinates (e_1, ..., e_s) is sum_j e_j * strides[j], so a
+    # function's quotient table averages the factors' with weights strides / 1
+    strides = [math.prod(M.size for M in factors[j + 1:]) for j in range(len(factors))]
     functions: dict[str, FunctionInterp] = {}
     for name, info in sigs[0].functions.items():
-        tables = [M.functions[name].table for M in factors]
-        functions[name] = FunctionInterp(info.arity, info.lam, {
-            args: index[tuple(t[tuple(keys[a][j] for a in args)] for j, t in enumerate(tables))]
-            for args in itertools.product(range(size), repeat=info.arity)
-        })
+        outs = [row_major(M.function_tables[name], M.size, info.arity) for M in factors]
+        if None in outs:
+            raise StructureError(f"function {name!r} table must cover all tuples of its arity")
+        table, _ = average([(t, 1) for t in outs], info.arity, strides, 1)
+        functions[name] = FunctionInterp(info.arity, info.lam, tabulate(info.arity, table))
 
     quotient = FiniteStructure(
         elements=labels,

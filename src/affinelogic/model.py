@@ -43,6 +43,8 @@ from .syntax import (
 
 ZERO = Fraction(0)
 EMPTY_STRUCTURE = "structure must have at least one element"
+# the default bound on how many tuples a construction may enumerate
+DEFAULT_CAP = 4096
 
 
 class StructureError(AffineLogicError, ValueError):

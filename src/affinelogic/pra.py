@@ -31,6 +31,20 @@ class _Internal(InternalError, AlgebraError):
     """A re-check of this module's own result failed."""
 
 
+def _atom_sum(values: Sequence[Fraction], x: int) -> Fraction:
+    """The sum of values[i] over the atoms i of x."""
+    return sum((v for i, v in enumerate(values) if x >> i & 1), start=ZERO)
+
+
+def _joins(base: int, masks: Iterable[int]) -> list[int]:
+    """base joined with each union of the masks, which are pairwise disjoint
+    and disjoint from base: all distinct, and increasing when the masks are."""
+    out = [base]
+    for mask in masks:
+        out += [x | mask for x in out]
+    return out
+
+
 @dataclass
 class MeasureAlgebra:
     """2^k subsets of k weighted atoms; elements are bitmask ints."""
@@ -53,11 +67,7 @@ class MeasureAlgebra:
         return range(self.size)
 
     def mu(self, x: int) -> Fraction:
-        total = ZERO
-        for i in range(self.k):
-            if x >> i & 1:
-                total += self.weights[i]
-        return total
+        return _atom_sum(self.weights, x)
 
     def meet(self, x: int, y: int) -> int:
         return x & y
@@ -87,23 +97,13 @@ class MeasureAlgebra:
         """All elements x with lo <= x <= hi, empty unless lo <= hi."""
         if not self.leq(lo, hi):
             return []
-        free = hi & ~lo
-        free_bits = [i for i in range(self.k) if free >> i & 1]
-        out = []
-        for picks in itertools.product((0, 1), repeat=len(free_bits)):
-            x = lo
-            for bit, take in zip(free_bits, picks):
-                if take:
-                    x |= 1 << bit
-            out.append(x)
-        return sorted(out)
+        return _joins(lo, [1 << i for i in range(self.k) if (hi & ~lo) >> i & 1])
 
     def to_structure(self) -> FiniteStructure:
         """Export as a finite metric structure (element index == bitmask)."""
         size = self.size
-        metric = tuple(
-            tuple(self.distance(x, y) for y in range(size)) for x in range(size)
-        )
+        mus = [self.mu(x) for x in range(size)]
+        metric = tuple(tuple(mus[x ^ y] for y in range(size)) for x in range(size))
         constants = {"zero": 0, "one": self.top}
         pairs = list(itertools.product(range(size), repeat=2))
         functions = {
@@ -112,7 +112,7 @@ class MeasureAlgebra:
             "compl": FunctionInterp(1, ONE, {(x,): self.compl(x) for x in range(size)}),
         }
         relations = {
-            "mu": RelationInterp(1, ONE, {(x,): self.mu(x) for x in range(size)}),
+            "mu": RelationInterp(1, ONE, {(x,): mus[x] for x in range(size)}),
         }
         return FiniteStructure(
             elements=tuple(self.label(x) for x in range(size)),
@@ -135,6 +135,13 @@ def build_algebra(weights: Sequence[Fraction], cap: int = DEFAULT_ATOM_CAP) -> M
     if sum(ws) != 1:
         raise AlgebraError("atom weights must sum to 1")
     return MeasureAlgebra(ws)
+
+
+def _check(A: MeasureAlgebra, *xs) -> None:
+    """Refuse anything that is not an element of A: an int in range(A.size)."""
+    for x in xs:
+        if not isinstance(x, int) or not 0 <= x < A.size:
+            raise AlgebraError(f"{x!r} is not an element of the algebra on {A.k} atoms")
 
 
 def check_algebra_axioms(A: MeasureAlgebra) -> bool:
@@ -162,6 +169,7 @@ def interval_distance(A: MeasureAlgebra, x: int, a: int, b: int) -> Fraction:
     Requires a <= b.  The value is mu(x and not b) + mu(a and not x); the
     nearest interval element is a or (b and x).
     """
+    _check(A, x, a, b)
     if not A.leq(a, b):
         raise AlgebraError("interval needs a <= b")
     return A.mu(x & A.compl(b)) + A.mu(a & A.compl(x))
@@ -169,6 +177,7 @@ def interval_distance(A: MeasureAlgebra, x: int, a: int, b: int) -> Fraction:
 
 def interval_projection(A: MeasureAlgebra, x: int, a: int, b: int) -> int:
     """The canonical nearest point of [a, b] to x."""
+    _check(A, x, a, b)
     if not A.leq(a, b):
         raise AlgebraError("interval needs a <= b")
     return a | (b & x)
@@ -190,11 +199,7 @@ class AdditiveFunction:
         )
 
     def value(self, x: int) -> Fraction:
-        total = ZERO
-        for i, v in enumerate(self.atom_values):
-            if x >> i & 1:
-                total += v
-        return total
+        return _atom_sum(self.atom_values, x)
 
 
 @dataclass
@@ -216,8 +221,7 @@ class HahnReport:
 def hahn_max_set(A: MeasureAlgebra, f: AdditiveFunction) -> HahnReport:
     if len(f.atom_values) != A.k:
         raise AlgebraError("additive function must give one value per atom")
-    a = 0
-    b = 0
+    a = b = 0
     for i, v in enumerate(f.atom_values):
         if v >= 0:
             a |= 1 << i
@@ -237,19 +241,12 @@ def dcl(A: MeasureAlgebra, S: Iterable[int]) -> frozenset[int]:
     the generated subalgebra consists of the unions of those blocks.
     """
     members = list(S)
+    _check(A, *members)
     blocks: dict[tuple[bool, ...], int] = {}
     for i in range(A.k):
         profile = tuple(bool(s >> i & 1) for s in members)
         blocks[profile] = blocks.get(profile, 0) | (1 << i)
-    block_masks = list(blocks.values())
-    out = set()
-    for picks in itertools.product((0, 1), repeat=len(block_masks)):
-        x = 0
-        for mask, take in zip(block_masks, picks):
-            if take:
-                x |= mask
-        out.add(x)
-    return frozenset(out)
+    return frozenset(_joins(0, blocks.values()))
 
 
 @dataclass
@@ -272,7 +269,9 @@ class PraDefinableReport:
 
 
 def pra_definable_check(A: MeasureAlgebra, D: Iterable[int]) -> PraDefinableReport:
-    members = sorted(set(D))
+    D = set(D)
+    _check(A, *D)
+    members = sorted(D)
     if not members:
         raise AlgebraError("D must be nonempty")
     lo = members[0]
@@ -280,10 +279,10 @@ def pra_definable_check(A: MeasureAlgebra, D: Iterable[int]) -> PraDefinableRepo
     for x in members[1:]:
         lo &= x
         hi |= x
+    # every member lies in [lo, hi], so D is the interval unless one is missing
     interval = A.interval(lo, hi)
-    missing = [x for x in interval if x not in set(members)]
-    if missing or len(members) != len(interval):
-        witness = missing[0] if missing else None
+    witness = next((x for x in interval if x not in D), None)
+    if witness is not None:
         return PraDefinableReport(False, lo, hi, witness=witness)
     for x in A.elements():
         direct = min(A.distance(x, y) for y in interval)

@@ -313,11 +313,12 @@ def random_subset(
     return frozenset(picked)
 
 
+def _discrete_metric(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m))
+
+
 def random_first_order_structure(rng: random.Random, size: int) -> FiniteStructure:
     """Discrete metric, {0,1}-valued relations, every point named."""
-    metric = tuple(
-        tuple(ZERO if i == j else ONE for j in range(size)) for i in range(size)
-    )
     relations = {
         "R": RelationInterp(
             1, ONE, {(i,): Fraction(rng.randint(0, 1)) for i in range(size)}
@@ -326,7 +327,7 @@ def random_first_order_structure(rng: random.Random, size: int) -> FiniteStructu
     constants = {f"c{i}": i for i in range(size)}
     return FiniteStructure(
         elements=tuple(f"p{i}" for i in range(size)),
-        metric=metric,
+        metric=_discrete_metric(size),
         constants=constants,
         functions={},
         relations=relations,
@@ -337,10 +338,6 @@ def random_hull_structure(
     rng: random.Random, n_vertices: int, n_coords: int
 ) -> FiniteStructure:
     """Discrete-metric structure whose unary relations realize random vectors."""
-    metric = tuple(
-        tuple(ZERO if i == j else ONE for j in range(n_vertices))
-        for i in range(n_vertices)
-    )
     relations = {}
     for c in range(n_coords):
         relations[f"R{c}"] = RelationInterp(
@@ -348,7 +345,7 @@ def random_hull_structure(
         )
     return FiniteStructure(
         elements=tuple(f"v{i}" for i in range(n_vertices)),
-        metric=metric,
+        metric=_discrete_metric(n_vertices),
         constants={},
         functions={},
         relations=relations,

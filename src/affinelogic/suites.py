@@ -29,7 +29,7 @@ from .definability import (
 from .errors import AffineLogicError
 from .linalg import _row_reduce, int_row
 from .mean import Ultracharge, check_ultramean_identity
-from .model import FiniteStructure, eval_table
+from .model import DEFAULT_CAP, FiniteStructure, eval_table
 from .pra import (
     AdditiveFunction,
     build_algebra,
@@ -210,7 +210,7 @@ def _interval_triples(k: int) -> list[tuple[int, int, int]]:
 
 
 @_suite("interval", "interval distance")
-def run_interval(rng: random.Random, max_atoms: int = 6, sample_cap: int = 4096) -> Verdict:
+def run_interval(rng: random.Random, max_atoms: int = 6, sample_cap: int = DEFAULT_CAP) -> Verdict:
     checked = 0
     for k in range(1, max_atoms + 1):
         all_triples = _interval_triples(k)
@@ -464,7 +464,7 @@ def run_pra_extreme(rng: random.Random, max_atoms: int = 6) -> Verdict:
             A = build_algebra(weights)
             M = A.to_structure()
             family = FormulaFamily(("x",), (Apply("mu", (Var("x"),)),))
-            hull = type_hull(M, 1, family, cap=4096)
+            hull = type_hull(M, 1, family)
             rep = extreme_points(hull)
             values = hull.vertex_values()
             ext_vals = {values[i] for i in rep.extreme_indices}

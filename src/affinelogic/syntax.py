@@ -312,9 +312,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("IDENT", text[i:j], i))
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() refuses '²' and reads '١' as 1
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j

@@ -23,13 +23,11 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import AffineLogicError, InternalError
 from .linprog import INFEASIBLE, OPTIMAL, SimplexResult, solve_int
-from .model import EMPTY_STRUCTURE, FiniteStructure, eval_table, int_table, row_major
+from .model import DEFAULT_CAP, EMPTY_STRUCTURE, FiniteStructure, eval_table, int_table, row_major
 from .syntax import Condition, Formula, free_vars
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-DEFAULT_CAP = 4096
 
 
 class TypespaceError(AffineLogicError, ValueError):

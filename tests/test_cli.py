@@ -142,6 +142,12 @@ def test_parse_error_is_usage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text, at", [("² * 1", 0), ("1/² * 1", 2), ("١ * 1", 0)])
+def test_a_digit_that_is_not_ascii_is_a_usage_error(capsys, text, at):
+    code, out, err = run(capsys, ["parse", text])
+    assert (code, out, err) == (2, "", f"error: unexpected character {text[at]!r} (at position {at})\n")
+
+
 def test_cert(capsys):
     code, out, _ = run(capsys, ["cert", "1/2 * d(x, y)"])
     assert code == 0

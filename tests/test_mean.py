@@ -18,7 +18,7 @@ from affinelogic.mean import (
     check_ultramean_identity,
 )
 from affinelogic.linalg import int_row
-from affinelogic.model import FiniteStructure, FunctionInterp, RelationInterp
+from affinelogic.model import EvalError, FiniteStructure, FunctionInterp, RelationInterp, StructureError
 from affinelogic.sampling import (
     random_formula,
     random_structure,
@@ -89,6 +89,20 @@ def test_colliding_class_labels_are_refused():
     # with one factor at weight 0 its second element never enters a label
     assert build_ultramean([M, N], Ultracharge([ONE, ZERO])).structure.elements == (
         "[x,y,z]", "[x,z]")
+
+
+@pytest.mark.parametrize("table, error, message", [
+    ({(0,): 1}, StructureError, "function 'f' table must cover all tuples of its arity"),
+    ({(0,): 1, (1,): 2}, EvalError, "function 'f' maps to 2, outside the domain of 2 elements"),
+])
+def test_a_bad_function_table_in_a_factor_is_a_typed_error(table, error, message):
+    good = replace(two_point(), functions={"f": FunctionInterp(1, ONE, {(0,): 1, (1,): 0})})
+    bad = replace(good, functions={"f": FunctionInterp(1, ONE, table)})
+    with pytest.raises(error) as info:
+        build_ultramean([good, bad], Ultracharge([F(1, 2), F(1, 2)]))
+    assert str(info.value) == message
+    # a factor at weight 0 is never read
+    assert build_ultramean([good, bad], Ultracharge([ONE, ZERO])).structure.size == 2
 
 
 def test_point_mass_mean_is_isometric_copy():

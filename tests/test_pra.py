@@ -219,3 +219,20 @@ def test_to_structure_is_valid_and_additive(A3):
             assert (
                 mu[(A3.meet(x, y),)] + mu[(A3.join(x, y),)] == mu[(x,)] + mu[(y,)]
             )
+
+
+@pytest.mark.parametrize("bad", [9, 8, -1, 1.5, "1"])
+def test_library_calls_refuse_what_is_not_an_element(A3, bad):
+    message = f"{bad!r} is not an element of the algebra on 3 atoms"
+    for call in (
+        lambda: pra_definable_check(A3, [bad]),
+        lambda: pra_definable_check(A3, [0, bad]),
+        lambda: dcl(A3, [0b001, bad]),
+        lambda: interval_distance(A3, bad, 0, 1),
+        lambda: interval_distance(A3, 0, 0, bad),
+        lambda: interval_projection(A3, 0, bad, A3.top),
+    ):
+        with pytest.raises(AlgebraError) as info:
+            call()
+        assert type(info.value) is AlgebraError
+        assert str(info.value) == message

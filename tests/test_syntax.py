@@ -12,6 +12,7 @@ from affinelogic.syntax import (
     ArityMismatchError,
     Condition,
     Const,
+    Formula,
     FormulaError,
     Func,
     Inf,
@@ -166,12 +167,37 @@ def test_symbol_errors_come_from_check_formula_without_position(text, error, mes
     ("mu(x", "expected ')', found 'end of input' (at position 4)"),
     ("mu", "'mu' is not a formula by itself; relation symbols take an argument list"
            " (at position 0)"),
+    # integers are ASCII digits: int() refuses a superscript, and reads an
+    # Arabic-Indic digit as the number it stands for
+    ("² * 1", "unexpected character '²' (at position 0)"),
+    ("1/² * 1", "unexpected character '²' (at position 2)"),
+    ("١ * 1", "unexpected character '١' (at position 0)"),
+    ("1١ * 1", "unexpected character '١' (at position 1)"),
 ])
 def test_syntax_errors_keep_their_position(text, message):
     with pytest.raises(ParseError) as info:
         parse_formula(text, SIG)
     assert type(info.value) is ParseError
     assert str(info.value) == message
+
+
+# Text near the grammar, with a few digits that are not ASCII, or any text.
+_TEXTS = st.lists(st.sampled_from(
+    list("0123456789+-*/(),. ") + ["x", "y", "mu", "R", "f", "d", "inf", "sup", "²", "١", "x²"]
+)).map("".join) | st.text()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS)
+@example("² * 1")
+@example("1/² * 1")
+@example("١ * 1")
+def test_parse_formula_returns_a_formula_or_raises_formula_error(text):
+    try:
+        phi = parse_formula(text, SIG)
+    except FormulaError:
+        return
+    assert isinstance(phi, Formula)
 
 
 # Every name a formula can use with SIG, and the names SIG reserves.
